@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .costs import CostField
 from .errors import MissingCostError, NoPathError
-from .grid import Coord, CornerRule, GridMap, neighbors8
+from .grid import CompiledGrid, Coord, CornerRule, GridMap, neighbors8
 from .paths import Path, PathSet
 
 MODES = ("first", "all")
@@ -68,16 +68,18 @@ def backtrack(
     rule = CornerRule.coerce(rule)
 
     destination = grid.destination
-    cost = field.at(destination)
-    if not isinstance(cost, int):
+    if not isinstance(field.at(destination), int):
         raise NoPathError(f"destination {destination} was never reached")
 
+    compiled = grid.compiled
+    forbid = rule is CornerRule.FORBID
+    target = compiled.index(destination)
     if mode == "first":
-        return PathSet((_first_descent(field, grid, destination, rule),), truncated=False)
+        return PathSet((_first_descent(compiled, field.values, target, forbid),), truncated=False)
 
     paths = []
     truncated = False
-    for descent in _all_descents(field, grid, destination, rule):
+    for descent in _all_descents(compiled, field.values, target, forbid):
         if len(paths) == max_paths:
             truncated = True
             break
@@ -93,38 +95,53 @@ def _check_field(field: CostField, grid: GridMap) -> None:
         )
 
 
-def _step_down(field: CostField, grid: GridMap, at: Coord, rule: CornerRule) -> list[Coord]:
-    candidates = descend_candidates(field, grid, at, rule)
+# The descent walks padded indices of the compiled grid and reads the
+# row-major field values through CompiledGrid.unpadded; Coord appears only
+# in the returned paths, one object per cell shared by every path through it.
+
+
+def _step_down(compiled: CompiledGrid, values: tuple, at: int, forbid: bool) -> list[int]:
+    cell = compiled.unpadded
+    wanted = values[cell(at)] - 1
+    candidates = [i for i in compiled.neighbours(at, forbid) if values[cell(i)] == wanted]
     if not candidates:
         raise MissingCostError(
-            f"no descent candidate below {at}; the field does not match the map"
+            f"no descent candidate below {compiled.coord(at)}; the field does not match the map"
         )
     return candidates
 
 
-def _first_descent(field: CostField, grid: GridMap, destination: Coord, rule: CornerRule) -> Path:
+def _first_descent(compiled: CompiledGrid, values: tuple, destination: int, forbid: bool) -> Path:
     reversed_cells = [destination]
     at = destination
-    while field.at(at) != 0:
-        at = _step_down(field, grid, at, rule)[0]
+    while values[compiled.unpadded(at)] != 0:
+        at = _step_down(compiled, values, at, forbid)[0]
         reversed_cells.append(at)
-    return Path(tuple(reversed(reversed_cells)))
+    return Path(tuple(map(compiled.coord, reversed(reversed_cells))))
 
 
 def _all_descents(
-    field: CostField, grid: GridMap, destination: Coord, rule: CornerRule
+    compiled: CompiledGrid, values: tuple, destination: int, forbid: bool
 ) -> Iterator[Path]:
-    """Depth-first enumeration; yields paths in canonical candidate order."""
-    stack = [destination]
+    """Depth-first enumeration; yields paths in canonical candidate order.
 
-    def walk() -> Iterator[Path]:
-        at = stack[-1]
-        if field.at(at) == 0:
-            yield Path(tuple(reversed(stack)))
-            return
-        for candidate in _step_down(field, grid, at, rule):
-            stack.append(candidate)
-            yield from walk()
-            stack.pop()
-
-    return walk()
+    The stack is explicit, one candidate iterator per level, so a path of
+    any length enumerates without touching the recursion limit.
+    """
+    trail = [compiled.coord(destination)]
+    if values[compiled.unpadded(destination)] == 0:
+        yield Path(tuple(trail))
+        return
+    branches = [iter(_step_down(compiled, values, destination, forbid))]
+    while branches:
+        at = next(branches[-1], None)
+        if at is None:
+            branches.pop()
+            trail.pop()
+            continue
+        trail.append(compiled.coord(at))
+        if values[compiled.unpadded(at)] == 0:
+            yield Path(tuple(reversed(trail)))
+            trail.pop()
+        else:
+            branches.append(iter(_step_down(compiled, values, at, forbid)))

@@ -23,7 +23,7 @@ from enum import Enum
 
 from .costs import INFINITY, UNREACHED, CostField
 from .errors import NoPathError
-from .grid import CellKind, Coord, CornerRule, GridMap, neighbors8
+from .grid import CellKind, CompiledGrid, Coord, CornerRule, GridMap
 from .paths import Path
 
 
@@ -81,51 +81,59 @@ def bfs8_distance_field(grid: GridMap, rule: CornerRule = CornerRule.ALLOW) -> C
 
     Finite values are hop counts from the source over admissible
     8-neighbor steps; obstacles within one king-move of a reached cell
-    are INFINITY; everything else is UNREACHED.
+    are INFINITY; everything else is UNREACHED.  Runs on row-major
+    indices with its own offset table and passability list, bounds-checked
+    per probe, so it shares nothing with the wavefront's compiled grid.
     """
     rule = CornerRule.coerce(rule)
     forbid = rule is CornerRule.FORBID
-    values: list = [UNREACHED] * (grid.width * grid.height)
-    values[grid.index(grid.source)] = 0
-    queue = deque([grid.source])
+    width, height = grid.width, grid.height
+    passable = [kind.traversable for kind in grid.cells]
+    offsets = [(d_row, d_col, d_row * width + d_col) for d_row, d_col in _ORACLE_OFFSETS]
+    values: list = [UNREACHED] * (width * height)
+    start = grid.index(grid.source)
+    values[start] = 0
+    queue = deque([start])
     while queue:
-        row, col = queue.popleft()
-        here = values[row * grid.width + col]
-        for d_row, d_col in _ORACLE_OFFSETS:
-            to = Coord(row + d_row, col + d_col)
-            if not grid.is_traversable(to):
+        i = queue.popleft()
+        row, col = divmod(i, width)
+        reached = values[i] + 1
+        for d_row, d_col, delta in offsets:
+            if not (0 <= row + d_row < height and 0 <= col + d_col < width):
                 continue
-            if values[grid.index(to)] is not UNREACHED:
+            to = i + delta
+            if not passable[to] or values[to] is not UNREACHED:
                 continue
-            if forbid and d_row and d_col:
-                flank_a = Coord(row + d_row, col)
-                flank_b = Coord(row, col + d_col)
-                if not grid.is_traversable(flank_a) and not grid.is_traversable(flank_b):
-                    # Blocked flanks may also be out of bounds; either way
-                    # the diagonal cannot squeeze through.
-                    continue
-            values[grid.index(to)] = here + 1
+            # With both ends in bounds, both flanks are in bounds too.
+            if forbid and d_row and d_col and not (
+                passable[i + d_row * width] or passable[i + d_col]
+            ):
+                continue
+            values[to] = reached
             queue.append(to)
 
     # Obstacles adjacent (any of the 8 directions, corner rule irrelevant)
     # to a reached cell are the ones an exhaustive expansion would inspect.
+    obstacle = [kind is CellKind.OBSTACLE for kind in grid.cells]
     for i, value in enumerate(values):
         if not isinstance(value, int):
             continue
-        row, col = i // grid.width, i % grid.width
-        for d_row, d_col in _ORACLE_OFFSETS:
-            to = Coord(row + d_row, col + d_col)
-            if grid.in_bounds(to) and grid.kind(to) is CellKind.OBSTACLE:
-                values[grid.index(to)] = INFINITY
-    return CostField(grid.width, grid.height, tuple(values))
+        row, col = divmod(i, width)
+        for d_row, d_col, delta in offsets:
+            if 0 <= row + d_row < height and 0 <= col + d_col < width and obstacle[i + delta]:
+                values[i + delta] = INFINITY
+    return CostField(width, height, tuple(values))
 
 
-def _reconstruct(parent: dict, destination: Coord) -> Path:
+def _reconstruct(compiled: CompiledGrid, parent: dict, destination: int) -> Path:
     cells = [destination]
     while cells[-1] in parent:
         cells.append(parent[cells[-1]])
-    cells.reverse()
-    return Path(tuple(cells))
+    return Path(tuple(compiled.coord(i) for i in reversed(cells)))
+
+
+def _visited(compiled: CompiledGrid, best: dict) -> frozenset:
+    return frozenset(map(compiled.coord, best))
 
 
 def _need_destination(grid: GridMap) -> Coord:
@@ -142,30 +150,34 @@ def dijkstra(grid: GridMap, rule: CornerRule = CornerRule.ALLOW) -> SearchResult
     destination is unreachable, ValueError when the map has none.
     """
     destination = _need_destination(grid)
-    rule = CornerRule.coerce(rule)
-    best = {grid.source: 0}
+    forbid = CornerRule.coerce(rule) is CornerRule.FORBID
+    compiled = grid.compiled
+    neighbours, target = compiled.neighbours, compiled.destination
+    # Padded indices order like (row, col), so they break queue ties alike.
+    best = {compiled.source: 0}
     parent: dict = {}
     settled = set()
     expansions = 0
-    heap = [(0, grid.source.row, grid.source.col)]
+    heap = [(0, compiled.source)]
     while heap:
-        dist, row, col = heapq.heappop(heap)
-        at = Coord(row, col)
+        dist, at = heapq.heappop(heap)
         if at in settled:
             continue
         settled.add(at)
         expansions += 1
-        if at == destination:
-            return SearchResult(_reconstruct(parent, at), expansions, frozenset(best))
-        for to in neighbors8(grid, at, rule):
-            candidate = dist + 1
+        if at == target:
+            return SearchResult(
+                _reconstruct(compiled, parent, at), expansions, _visited(compiled, best)
+            )
+        candidate = dist + 1
+        for to in neighbours(at, forbid):
             if candidate < best.get(to, math.inf):
                 best[to] = candidate
                 parent[to] = at
-                heapq.heappush(heap, (candidate, to.row, to.col))
+                heapq.heappush(heap, (candidate, to))
     raise NoPathError(
         f"no route from {grid.source} to {destination}",
-        result=SearchResult(None, expansions, frozenset(best)),
+        result=SearchResult(None, expansions, _visited(compiled, best)),
     )
 
 
@@ -182,31 +194,35 @@ def astar(
     stale pops are skipped without counting as expansions.
     """
     destination = _need_destination(grid)
-    rule = CornerRule.coerce(rule)
-    h = Heuristic.coerce(heuristic)
-    best = {grid.source: 0}
+    forbid = CornerRule.coerce(rule) is CornerRule.FORBID
+    distance = Heuristic.coerce(heuristic).distance
+    compiled = grid.compiled
+    neighbours, target, stride = compiled.neighbours, compiled.destination, compiled.stride
+    # Heuristics read (row, col) differences, which padding leaves unchanged.
+    goal = divmod(target, stride)
+    best = {compiled.source: 0}
     parent: dict = {}
     expansions = 0
-    start_f = h.distance(grid.source, destination)
-    heap = [(start_f, 0, grid.source.row, grid.source.col)]
+    heap = [(distance(divmod(compiled.source, stride), goal), 0, compiled.source)]
     while heap:
-        f, neg_g, row, col = heapq.heappop(heap)
-        at = Coord(row, col)
+        f, neg_g, at = heapq.heappop(heap)
         g = -neg_g
         if g != best[at]:
             continue  # stale entry superseded by a better route
         expansions += 1
-        if at == destination:
-            return SearchResult(_reconstruct(parent, at), expansions, frozenset(best))
-        for to in neighbors8(grid, at, rule):
-            candidate = g + 1
+        if at == target:
+            return SearchResult(
+                _reconstruct(compiled, parent, at), expansions, _visited(compiled, best)
+            )
+        candidate = g + 1
+        for to in neighbours(at, forbid):
             if candidate < best.get(to, math.inf):
                 best[to] = candidate
                 parent[to] = at
                 heapq.heappush(
-                    heap, (candidate + h.distance(to, destination), -candidate, to.row, to.col)
+                    heap, (candidate + distance(divmod(to, stride), goal), -candidate, to)
                 )
     raise NoPathError(
         f"no route from {grid.source} to {destination}",
-        result=SearchResult(None, expansions, frozenset(best)),
+        result=SearchResult(None, expansions, _visited(compiled, best)),
     )

@@ -2,7 +2,8 @@
 
 Exit codes: 0 the command succeeded (a requested path exists), 1 the
 map is valid but the goal is unattainable (no path, or generation
-unsatisfiable), 2 bad input or usage.  ``--json`` output is valid JSON
+unsatisfiable), 2 bad input or usage, 3 an internal error (a bug: one
+line on stderr instead of a traceback).  ``--json`` output is valid JSON
 on both exit 0 and exit 1.
 """
 
@@ -22,6 +23,9 @@ from .solvers import AStarSolver, DijkstraSolver, WavefrontSolver
 from .wavefront import flood
 
 _SEARCH_ALGOS = ("dijkstra", "astar")
+
+#: Exit code for an unexpected exception, distinct from every outcome code.
+EXIT_INTERNAL_ERROR = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,6 +154,9 @@ def main(argv=None) -> int:
     except UnsatisfiableError as exc:
         print(f"gridwave: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"gridwave: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def _load_map(path: str) -> GridMap:

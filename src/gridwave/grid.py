@@ -8,11 +8,15 @@ Map files are UTF-8 text, one row per line, top row first:
 
 Maps do not need a closed ``#`` border; anything outside the grid behaves
 like boundary.
+
+The kernels (flood, backtrack, Dijkstra, A*, path overlay) run on
+``GridMap.compiled``, a CompiledGrid of flat byte codes and int indices
+built once per map; Coord appears only where results leave them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -105,6 +109,7 @@ class GridMap:
     cells: tuple[CellKind, ...]
     source: Coord
     destination: Coord | None = None
+    _compiled: "CompiledGrid | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -158,6 +163,92 @@ class GridMap:
 
     def traversable_count(self) -> int:
         return sum(1 for k in self.cells if k.traversable)
+
+    @property
+    def compiled(self) -> "CompiledGrid":
+        """The flat padded form every kernel runs on, built on first use.
+
+        Kept in a field that takes no part in equality, hashing or repr.
+        A field rather than functools.cached_property, whose write into
+        the instance ``__dict__`` slows every later attribute read of the
+        grid by ~10% (frame rendering reads them per cell).
+        """
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", CompiledGrid(self))
+        return self._compiled
+
+
+#: Cell codes of the compiled grid.  Codes from CODE_PASSABLE up are
+#: traversable; the padding ring around the map is CODE_WALL.
+CODE_WALL, CODE_OBSTACLE, CODE_PASSABLE, CODE_SOURCE, CODE_DESTINATION = range(5)
+
+_CODE_OF_SYMBOL = bytes.maketrans(b"#@.SD", bytes(range(5)))
+
+#: Translation table from compiled codes back to map symbols.
+SYMBOL_OF_CODE = bytes.maketrans(bytes(range(5)), b"#@.SD")
+
+
+class CompiledGrid:
+    """A GridMap as flat ints: one byte per cell inside a one-cell wall ring.
+
+    Cell (row, col) sits at padded index ``(row + 1) * stride + col + 1``,
+    so every neighbour of an in-bounds cell is still inside ``codes`` and
+    no probe needs a bounds check; outside the map behaves like boundary.
+    ``steps`` is the neighbour and corner-rule table: the eight moves in
+    OFFSETS_CLOCKWISE order as ``(delta, flank_a, flank_b)`` index offsets.
+    A diagonal carries the two orthogonal cells it slides between, which
+    CornerRule.FORBID requires not to be blocking both; an orthogonal
+    carries flanks of 0, meaning none.
+    """
+
+    __slots__ = ("width", "stride", "codes", "steps", "source", "destination")
+
+    def __init__(self, grid: GridMap):
+        width, height = grid.width, grid.height
+        stride = width + 2
+        # _value_ is the plain attribute behind the slower CellKind.value property.
+        flat = "".join([kind._value_ for kind in grid.cells]).encode().translate(_CODE_OF_SYMBOL)
+        codes = bytearray(stride * (height + 2))
+        for row in range(height):
+            start = (row + 1) * stride + 1
+            codes[start : start + width] = flat[row * width : (row + 1) * width]
+        self.width = width
+        self.stride = stride
+        self.codes = bytes(codes)
+        self.steps = tuple(
+            (d_row * stride + d_col, d_row * stride, d_col) if d_row and d_col
+            else (d_row * stride + d_col, 0, 0)
+            for d_row, d_col in OFFSETS_CLOCKWISE
+        )
+        self.source = self.index(grid.source)
+        self.destination = None if grid.destination is None else self.index(grid.destination)
+
+    def index(self, at: Coord) -> int:
+        return (at[0] + 1) * self.stride + at[1] + 1
+
+    def coord(self, i: int) -> Coord:
+        row, col = divmod(i, self.stride)
+        return Coord(row - 1, col - 1)
+
+    def neighbours(self, i: int, forbid: bool) -> list[int]:
+        """Admissible neighbours of in-bounds cell ``i``, clockwise from up."""
+        codes = self.codes
+        return [
+            i + delta
+            for delta, flank_a, flank_b in self.steps
+            if codes[i + delta] >= CODE_PASSABLE
+            and not (
+                forbid
+                and flank_a
+                and codes[i + flank_a] < CODE_PASSABLE
+                and codes[i + flank_b] < CODE_PASSABLE
+            )
+        ]
+
+    def unpadded(self, i: int) -> int:
+        """The row-major index (as in GridMap.cells) of padded index ``i``."""
+        row, col = divmod(i, self.stride)
+        return (row - 1) * self.width + col - 1
 
 
 def parse_map(text: str) -> GridMap:
@@ -219,29 +310,17 @@ def render_map(grid: GridMap) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _is_blocking(grid: GridMap, at: Coord) -> bool:
-    """Out-of-bounds, boundary, and obstacle cells block corner cutting."""
-    if not grid.in_bounds(at):
-        return True
-    return grid.cells[grid.index(at)] in (CellKind.BOUNDARY, CellKind.OBSTACLE)
-
-
 def step_allowed(grid: GridMap, at: Coord, d_row: int, d_col: int, rule: CornerRule) -> bool:
     """Whether the unit step from ``at`` in direction (d_row, d_col) is admissible.
 
     The target must be an in-bounds traversable cell; under
     CornerRule.FORBID a diagonal is additionally rejected when both
-    flanking orthogonal cells are blocking.
+    flanking orthogonal cells are blocking.  ``at`` must be in bounds and
+    (d_row, d_col) one of OFFSETS_CLOCKWISE.
     """
-    to = Coord(at[0] + d_row, at[1] + d_col)
-    if not grid.is_traversable(to):
-        return False
-    if d_row and d_col and rule is CornerRule.FORBID:
-        if _is_blocking(grid, Coord(at[0] + d_row, at[1])) and _is_blocking(
-            grid, Coord(at[0], at[1] + d_col)
-        ):
-            return False
-    return True
+    if (d_row, d_col) not in OFFSETS_CLOCKWISE:
+        raise ValueError(f"({d_row}, {d_col}) is not a unit step")
+    return (at[0] + d_row, at[1] + d_col) in neighbors8(grid, at, rule)
 
 
 def neighbors8(grid: GridMap, at: Coord, rule: CornerRule = CornerRule.ALLOW) -> list[Coord]:
@@ -253,9 +332,6 @@ def neighbors8(grid: GridMap, at: Coord, rule: CornerRule = CornerRule.ALLOW) ->
     at = Coord(*at)
     if not grid.in_bounds(at):
         raise ValueError(f"{at} is outside the {grid.width}x{grid.height} grid")
-    rule = CornerRule.coerce(rule)
-    return [
-        Coord(at.row + d_row, at.col + d_col)
-        for d_row, d_col in OFFSETS_CLOCKWISE
-        if step_allowed(grid, at, d_row, d_col, rule)
-    ]
+    compiled = grid.compiled
+    forbid = CornerRule.coerce(rule) is CornerRule.FORBID
+    return [compiled.coord(i) for i in compiled.neighbours(compiled.index(at), forbid)]

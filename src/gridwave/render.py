@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .costs import CostField
 from .errors import DimensionMismatchError
-from .grid import CellKind, Coord, GridMap
+from .grid import CODE_PASSABLE, SYMBOL_OF_CODE, CellKind, Coord, GridMap
 from .paths import Path
 from .wavefront import FloodTrace
 
@@ -117,15 +117,19 @@ def render_cost_field(grid: GridMap, field: CostField) -> str:
 
 def render_path_overlay(grid: GridMap, path: Path) -> str:
     """The map with the path's intermediate cells drawn as ``*``."""
-    on_path = set(path.cells)
-
-    def cell_char(at: Coord) -> str:
-        kind = grid.kind(at)
-        if kind is CellKind.PASSABLE and at in on_path:
-            return "*"
-        return kind.symbol
-
-    return "\n".join(_rows(grid, cell_char)) + "\n"
+    compiled = grid.compiled
+    chars = bytearray(compiled.codes.translate(SYMBOL_OF_CODE))
+    for row, col in path.cells:
+        if 0 <= row < grid.height and 0 <= col < grid.width:
+            i = compiled.index((row, col))
+            if compiled.codes[i] == CODE_PASSABLE:
+                chars[i] = ord("*")
+    text = chars.decode()
+    stride = compiled.stride
+    return "".join(
+        text[start : start + grid.width] + "\n"
+        for start in range(stride + 1, stride * (grid.height + 1), stride)
+    )
 
 
 def _rows(grid: GridMap, cell_char) -> tuple[str, ...]:

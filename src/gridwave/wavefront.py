@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costs import INFINITY, UNREACHED, CostField
-from .grid import OFFSETS_CLOCKWISE, CellKind, Coord, CornerRule, GridMap, step_allowed
+from .grid import CODE_PASSABLE, Coord, CornerRule, GridMap
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,11 @@ def ring_cells(center: Coord, k: int, grid: GridMap) -> list[Coord]:
     return [cell for cell in ring if grid.in_bounds(cell)]
 
 
-_ORTHOGONAL = ((-1, 0), (0, 1), (1, 0), (0, -1))
+#: Per-flood cell states, translated from compiled codes: 0 is a wall or a
+#: costed cell; an unreached traversable cell stays _OPEN until costed.
+_OPEN, _OBSTACLE = 1, 2
+#: Translation table indexed by code, CODE_WALL through CODE_DESTINATION.
+_FLOOD_STATE = bytes([0, _OBSTACLE, _OPEN, _OPEN, _OPEN]).ljust(256, b"\0")
 
 
 def flood(
@@ -93,60 +97,67 @@ def flood(
     marks the obstacles it touches).  An unreachable destination is not
     an error: the outcome simply has ``reached_destination=False``.
     """
-    rule = CornerRule.coerce(rule)
-    values: list = [UNREACHED] * (grid.width * grid.height)
+    forbid = CornerRule.coerce(rule) is CornerRule.FORBID
+    compiled = grid.compiled
+    codes, steps, stride = compiled.codes, compiled.steps, compiled.stride
+    width = grid.width
+    orthogonal = (-stride, 1, stride, -1)
+    state = bytearray(codes.translate(_FLOOD_STATE))
+    values: list = [UNREACHED] * (width * grid.height)
+    source = compiled.source
+    state[source] = 0
     values[grid.index(grid.source)] = 0
+    destination = None if grid.destination is None else grid.index(grid.destination)
 
-    frontier: list[Coord] = [grid.source]
+    frontier = [source]
     records: list[IterationRecord] = []
     iterations_run = 0
     k = 0
     while frontier:
         k += 1
-        costed: list[Coord] = []
-        inspected: set[Coord] = set()
-        for cell in frontier:
-            for d_row, d_col in OFFSETS_CLOCKWISE:
-                neighbor = Coord(cell.row + d_row, cell.col + d_col)
-                if not grid.in_bounds(neighbor):
-                    continue
-                index = grid.index(neighbor)
-                kind = grid.cells[index]
-                if kind is CellKind.OBSTACLE:
-                    inspected.add(neighbor)
-                    if values[index] is UNREACHED:
-                        values[index] = INFINITY
-                    continue
-                if not kind.traversable:
-                    continue
-                if values[index] is not UNREACHED:
-                    continue
-                if not step_allowed(grid, cell, d_row, d_col, rule):
-                    continue
-                values[index] = k
-                costed.append(neighbor)
+        costed: list[int] = []
+        inspected: list[int] = []
+        cost_it, inspect = costed.append, inspected.append
+        for i in frontier:
+            for delta, flank_a, flank_b in steps:
+                j = i + delta
+                kind = state[j]
+                if kind == _OPEN:
+                    # CompiledGrid.neighbours' corner test, inlined per probe.
+                    if (
+                        forbid
+                        and flank_a
+                        and codes[i + flank_a] < CODE_PASSABLE
+                        and codes[i + flank_b] < CODE_PASSABLE
+                    ):
+                        continue
+                    state[j] = 0
+                    cost_it(j)
+                elif kind == _OBSTACLE:
+                    inspect(j)
+        touched = set(inspected)
+        for j in touched:
+            values[compiled.unpadded(j)] = INFINITY
         if not costed:
             break
         iterations_run = k
-        new_sources = frozenset(
-            cell
-            for cell in costed
-            if any(
-                Coord(cell.row + d_row, cell.col + d_col) in inspected
-                for d_row, d_col in _ORTHOGONAL
-            )
-        )
-        records.append(IterationRecord(k, frozenset(costed), new_sources))
-        if (
-            stop_at_destination
-            and grid.destination is not None
-            and values[grid.index(grid.destination)] == k
-        ):
+        spill = {j + delta for j in touched for delta in orthogonal}
+        cells: list[Coord] = []
+        new_sources: list[Coord] = []
+        for j in costed:
+            row, col = divmod(j, stride)
+            cell = Coord(row - 1, col - 1)
+            values[(row - 1) * width + col - 1] = k
+            cells.append(cell)
+            if j in spill:
+                new_sources.append(cell)
+        records.append(IterationRecord(k, frozenset(cells), frozenset(new_sources)))
+        if stop_at_destination and destination is not None and values[destination] == k:
             break
         frontier = costed
 
-    field = CostField(grid.width, grid.height, tuple(values))
-    reached = grid.destination is not None and field.is_finite(grid.destination)
+    field = CostField(width, grid.height, tuple(values))
+    reached = destination is not None and isinstance(values[destination], int)
     trace = FloodTrace(grid.width, grid.height, tuple(records))
     return FloodOutcome(field, trace, reached, iterations_run)
 

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from conftest import FIXTURE_DIR, fixture_text
+from gridwave import cli
 from gridwave.cli import main
 from gridwave.serialize import SEARCH_RESULT_SCHEMA, TRACE_SCHEMA
 
@@ -221,6 +222,31 @@ class TestRender:
 
     def test_bad_style_exits_two(self, capsys):
         assert run_cli("render", ROOM, "--style", "neon", capsys=capsys)[0] == 2
+
+
+class TestRobustness:
+    def test_long_corridor_all_paths_exits_zero_with_json(self, tmp_path, capsys):
+        # A 3x1202 map whose interior is one 1,200-cell row, S to D end to end:
+        # the descent takes 1,199 steps, past any recursion limit.
+        corridor = tmp_path / "corridor.map"
+        wall = "#" * 1202
+        corridor.write_text(f"{wall}\n#S{'.' * 1198}D#\n{wall}\n")
+        code, out, err = run_cli("solve", str(corridor), "--all-paths", "--json", capsys=capsys)
+        assert code == 0 and err == ""
+        paths = json.loads(out)["paths"]
+        assert paths["count"] == 1
+        assert paths["paths"][0]["length"] == 1199
+
+    def test_unexpected_exception_exits_three_with_one_line(self, monkeypatch, capsys):
+        def crash(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "_cmd_solve", crash)
+        code, out, err = run_cli("solve", DETOUR, capsys=capsys)
+        assert code == cli.EXIT_INTERNAL_ERROR == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("gridwave: internal error:")
+        assert "boom" in err
 
 
 class TestEntryPoints:

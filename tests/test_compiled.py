@@ -1,0 +1,199 @@
+"""The compiled grid under every kernel, checked against references built here.
+
+Maps include borderless ones, 1xN and Nx1 strips and boundary cells
+inside the map.  Each property holds under both corner rules.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import BOTH_RULES
+from gridwave import (
+    CellKind,
+    Coord,
+    CornerRule,
+    IterationRecord,
+    backtrack,
+    bfs8_distance_field,
+    descend_candidates,
+    flood,
+    neighbors8,
+    parse_map,
+    render_map,
+)
+from gridwave.grid import SYMBOL_OF_CODE
+
+#: Clockwise from up, written out here rather than taken from the package.
+CLOCKWISE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+ORTHOGONAL = ((-1, 0), (0, 1), (1, 0), (0, -1))
+
+
+@st.composite
+def any_map_text(draw, fill: str = "....@@#") -> str:
+    """Unbordered maps of any shape, strips included, with S and maybe D.
+
+    Cells are drawn uniformly from ``fill``, so its mix sets the density.
+    """
+    width, height = draw(
+        st.one_of(
+            st.tuples(st.just(1), st.integers(2, 16)),
+            st.tuples(st.integers(2, 16), st.just(1)),
+            st.tuples(st.integers(1, 12), st.integers(1, 9)),
+        )
+    )
+    cells = draw(
+        st.lists(st.sampled_from(fill), min_size=width * height, max_size=width * height)
+    )
+    places = draw(st.permutations(range(width * height)))
+    cells[places[0]] = "S"
+    if len(places) > 1 and draw(st.booleans()):
+        cells[places[1]] = "D"
+    rows = ["".join(cells[row * width : (row + 1) * width]) for row in range(height)]
+    return "\n".join(rows) + "\n"
+
+
+def _blocking(grid, row: int, col: int) -> bool:
+    if not (0 <= row < grid.height and 0 <= col < grid.width):
+        return True
+    return grid.cells[row * grid.width + col] in (CellKind.BOUNDARY, CellKind.OBSTACLE)
+
+
+def reference_neighbours(grid, at: Coord, rule: CornerRule) -> list:
+    """neighbors8 from its docstring: in-bounds traversable targets,
+    clockwise from up; FORBID drops a diagonal whose two flanks (possibly
+    outside the grid) both block."""
+    found = []
+    for d_row, d_col in CLOCKWISE:
+        row, col = at.row + d_row, at.col + d_col
+        if _blocking(grid, row, col):
+            continue
+        if (
+            rule is CornerRule.FORBID
+            and d_row
+            and d_col
+            and _blocking(grid, at.row + d_row, at.col)
+            and _blocking(grid, at.row, at.col + d_col)
+        ):
+            continue
+        found.append(Coord(row, col))
+    return found
+
+
+def derived_trace(grid, field) -> tuple:
+    """The trace recomputed from the field alone.
+
+    costed_k is the cells of cost k; new_sources_k is the cells of cost k
+    with an orthogonal obstacle neighbour 8-adjacent to a cell of cost k-1.
+    """
+
+    def cost(row, col):
+        if 0 <= row < grid.height and 0 <= col < grid.width:
+            return field.values[row * grid.width + col]
+        return None
+
+    def is_obstacle(row, col):
+        inside = 0 <= row < grid.height and 0 <= col < grid.width
+        return inside and grid.cells[row * grid.width + col] is CellKind.OBSTACLE
+
+    levels: dict = {}
+    for at, k in field.finite_cells():
+        if k > 0:
+            levels.setdefault(k, set()).add(at)
+    records = []
+    for k in sorted(levels):
+        new_sources = {
+            at
+            for at in levels[k]
+            if any(
+                is_obstacle(at.row + o_row, at.col + o_col)
+                and any(
+                    cost(at.row + o_row + d_row, at.col + o_col + d_col) == k - 1
+                    for d_row, d_col in CLOCKWISE
+                )
+                for o_row, o_col in ORTHOGONAL
+            )
+        }
+        records.append(IterationRecord(k, frozenset(levels[k]), frozenset(new_sources)))
+    return tuple(records)
+
+
+@given(any_map_text())
+@settings(max_examples=150, deadline=None)
+def test_full_flood_field_equals_the_oracle(text):
+    grid = parse_map(text)
+    for rule in BOTH_RULES:
+        outcome = flood(grid, rule, stop_at_destination=False)
+        assert outcome.field == bfs8_distance_field(grid, rule)
+
+
+@given(any_map_text())
+@settings(max_examples=150, deadline=None)
+def test_neighbours_match_the_docstring_rules(text):
+    grid = parse_map(text)
+    for rule in BOTH_RULES:
+        for at in grid.coords():
+            assert neighbors8(grid, at, rule) == reference_neighbours(grid, at, rule)
+
+
+@given(any_map_text(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_trace_is_derivable_from_the_field(text, stop):
+    grid = parse_map(text)
+    for rule in BOTH_RULES:
+        outcome = flood(grid, rule, stop_at_destination=stop)
+        records = derived_trace(grid, outcome.field)
+        assert outcome.trace.iterations == records
+        assert outcome.iterations_run == len(records)
+
+
+@given(any_map_text(fill="........@#"))
+@settings(max_examples=100, deadline=None)
+def test_all_paths_keep_the_canonical_order(text):
+    grid = parse_map(text)
+    if grid.destination is None:
+        return
+    for rule in BOTH_RULES:
+        field = flood(grid, rule).field
+        if not field.is_finite(grid.destination):
+            continue
+        expected = []
+
+        def walk(trail):
+            if field.at(trail[-1]) == 0:
+                expected.append(tuple(reversed(trail)))
+                return
+            for below in descend_candidates(field, grid, trail[-1], rule):
+                walk(trail + [below])
+
+        walk([grid.destination])
+        got = backtrack(field, grid, rule, mode="all", max_paths=len(expected) + 1)
+        assert [path.cells for path in got] == expected
+        assert not got.truncated
+
+
+@given(any_map_text())
+@settings(max_examples=100, deadline=None)
+def test_compiled_codes_spell_the_map_inside_a_wall_ring(text):
+    grid = parse_map(text)
+    compiled = grid.compiled
+    symbols = compiled.codes.translate(SYMBOL_OF_CODE).decode()
+    stride = compiled.stride
+    rows = [symbols[row * stride : (row + 1) * stride] for row in range(grid.height + 2)]
+    assert rows[0] == rows[-1] == "#" * stride
+    assert all(row[0] == row[-1] == "#" for row in rows)
+    assert "".join(row[1:-1] + "\n" for row in rows[1:-1]) == render_map(grid)
+
+
+@pytest.mark.parametrize("build_first", [0, 1])
+def test_compiled_form_takes_no_part_in_equality(build_first):
+    text = "#####\n#S.D#\n#####\n"
+    grids = [parse_map(text), parse_map(text)]
+    assert grids[build_first].compiled is grids[build_first].compiled
+    assert grids[1 - build_first]._compiled is None
+    assert grids[0] == grids[1]
+    assert hash(grids[0]) == hash(grids[1])
+    assert repr(grids[0]) == repr(grids[1])
+    assert len({grids[0], grids[1]}) == 1

@@ -1,0 +1,107 @@
+"""Byte identity of CLI output on every fixture map under both corner rules.
+
+``fixtures/golden/`` holds, per (fixture, rule, command), the exact stdout
+and exit code of ``gridwave`` and, for the traced render, the ``--trace``
+JSON.  ``compare --json`` is stored with ``elapsed_us`` removed, since wall
+time is the one field that varies between runs.  Any kernel change must
+leave all of these bytes alone.
+
+Regenerate (only after an intended output change) from the repo root::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from conftest import FIXTURE_DIR, FIXTURE_NAMES
+from gridwave.cli import main
+
+GOLDEN_DIR = FIXTURE_DIR / "golden"
+RULES = ("allow", "forbid")
+TRACE = "{trace}"
+
+#: Golden name -> argv after the map path; ``{trace}`` is a temp file.
+COMMANDS = {
+    "solve": ("solve",),
+    "solve-json": ("solve", "--json"),
+    "solve-all-paths-json": ("solve", "--all-paths", "--json"),
+    "render-marks": ("render", "--style", "marks"),
+    "render-full-costs": ("render", "--full", "--style", "costs", "--trace", TRACE),
+    "compare-json": ("compare", "--json"),
+}
+
+
+def _strip_elapsed(text: str) -> str:
+    data = json.loads(text)
+    for record in data["results"]:
+        del record["elapsed_us"]
+    return json.dumps(data, separators=(",", ":")) + "\n"
+
+
+def run_case(name: str, rule: str, command: str) -> dict:
+    """Exit code, stdout and (for a traced command) trace JSON of one run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path = str(Path(tmp) / "trace.json")
+        verb, *flags = COMMANDS[command]
+        argv = [verb, str(FIXTURE_DIR / f"{name}.map"), "--corner-cut", rule]
+        argv += [trace_path if flag == TRACE else flag for flag in flags]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        result = {"exit": code, "stdout": out.getvalue()}
+        if command == "compare-json":
+            result["stdout"] = _strip_elapsed(result["stdout"])
+        if TRACE in flags:
+            result["trace"] = Path(trace_path).read_text(encoding="utf-8")
+    return result
+
+
+def _stem(name: str, rule: str, command: str) -> str:
+    return f"{name}.{rule}.{command}"
+
+
+CASES = [
+    (name, rule, command) for name in FIXTURE_NAMES for rule in RULES for command in COMMANDS
+]
+
+
+@pytest.fixture(scope="module")
+def exit_codes() -> dict:
+    return json.loads((GOLDEN_DIR / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name,rule,command", CASES)
+def test_cli_output_is_byte_identical(name, rule, command, exit_codes):
+    stem = _stem(name, rule, command)
+    got = run_case(name, rule, command)
+    assert got["exit"] == exit_codes[stem]
+    assert got["stdout"] == (GOLDEN_DIR / f"{stem}.out").read_text(encoding="utf-8")
+    if "trace" in got:
+        assert got["trace"] == (GOLDEN_DIR / f"{stem}.trace.json").read_text(encoding="utf-8")
+
+
+def regenerate() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    codes = {}
+    for case in CASES:
+        stem = _stem(*case)
+        got = run_case(*case)
+        codes[stem] = got["exit"]
+        (GOLDEN_DIR / f"{stem}.out").write_text(got["stdout"], encoding="utf-8")
+        if "trace" in got:
+            (GOLDEN_DIR / f"{stem}.trace.json").write_text(got["trace"], encoding="utf-8")
+    (GOLDEN_DIR / "exit_codes.json").write_text(
+        json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -154,6 +154,12 @@ class TestCornerRule:
         assert step_allowed(grid, Coord(1, 1), 1, 1, CornerRule.ALLOW)
         assert not step_allowed(grid, Coord(1, 1), 1, 1, CornerRule.FORBID)
 
+    def test_rejects_steps_that_are_not_unit_moves(self):
+        grid = parse_map(self.SQUEEZE)
+        for d_row, d_col in ((0, 0), (2, 0), (1, -2)):
+            with pytest.raises(ValueError):
+                step_allowed(grid, Coord(1, 1), d_row, d_col, CornerRule.ALLOW)
+
     def test_coerce_accepts_strings_and_rejects_junk(self):
         assert CornerRule.coerce("allow") is CornerRule.ALLOW
         assert CornerRule.coerce(CornerRule.FORBID) is CornerRule.FORBID
