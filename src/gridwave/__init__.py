@@ -16,7 +16,6 @@ from .bench import (
     AlgoRecord,
     ComparisonReport,
     ComplexityCounters,
-    GenSpec,
     SuiteReport,
     compare,
     measure_complexity,
@@ -32,7 +31,6 @@ from .errors import (
     MultipleSourcesError,
     NoPathError,
     NoSourceError,
-    NotFittedError,
     RaggedRowsError,
     UnknownSymbolError,
     UnsatisfiableError,
@@ -48,24 +46,15 @@ from .grid import (
     render_map,
     step_allowed,
 )
-from .mapgen import SplitMix64, generate_map
+from .mapgen import GenSpec, SplitMix64, generate_map
 from .paths import Path, PathSet
 from .render import Frame, FrameSequence, render_cost_field, render_path_overlay, render_trace
-from .solvers import AStarSolver, DijkstraSolver, WavefrontSolver
-from .wavefront import (
-    FloodOutcome,
-    FloodTrace,
-    IterationRecord,
-    flood,
-    full_flood_component,
-    ring_cells,
-)
+from .wavefront import FloodOutcome, FloodTrace, IterationRecord, flood
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_ALGOS",
-    "AStarSolver",
     "AlgoRecord",
     "CellKind",
     "ComparisonReport",
@@ -73,7 +62,6 @@ __all__ = [
     "Coord",
     "CornerRule",
     "CostField",
-    "DijkstraSolver",
     "DimensionMismatchError",
     "FloodOutcome",
     "FloodTrace",
@@ -91,7 +79,6 @@ __all__ = [
     "MultipleSourcesError",
     "NoPathError",
     "NoSourceError",
-    "NotFittedError",
     "OFFSETS_CLOCKWISE",
     "Path",
     "PathSet",
@@ -102,7 +89,6 @@ __all__ = [
     "UNREACHED",
     "UnknownSymbolError",
     "UnsatisfiableError",
-    "WavefrontSolver",
     "astar",
     "backtrack",
     "bfs8_distance_field",
@@ -110,7 +96,6 @@ __all__ = [
     "descend_candidates",
     "dijkstra",
     "flood",
-    "full_flood_component",
     "generate_map",
     "measure_complexity",
     "neighbors8",
@@ -119,7 +104,6 @@ __all__ = [
     "render_map",
     "render_path_overlay",
     "render_trace",
-    "ring_cells",
     "run_suite",
     "step_allowed",
     "__version__",

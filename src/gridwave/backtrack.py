@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .costs import CostField
 from .errors import MissingCostError, NoPathError
-from .grid import CompiledGrid, Coord, CornerRule, GridMap, neighbors8
+from .grid import CompiledGrid, Coord, CornerRule, GridMap, ensure_destination, neighbors8
 from .paths import Path, PathSet
 
 MODES = ("first", "all")
@@ -58,8 +58,7 @@ def backtrack(
     Raises NoPathError when the destination was never reached, and
     ValueError when the map has no destination at all.
     """
-    if grid.destination is None:
-        raise ValueError("map has no destination to backtrack from")
+    destination = ensure_destination(grid)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if max_paths < 1:
@@ -67,7 +66,6 @@ def backtrack(
     _check_field(field, grid)
     rule = CornerRule.coerce(rule)
 
-    destination = grid.destination
     if not isinstance(field.at(destination), int):
         raise NoPathError(f"destination {destination} was never reached")
 

@@ -19,30 +19,18 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 from .costs import INFINITY, UNREACHED, CostField
 from .errors import NoPathError
-from .grid import CellKind, CompiledGrid, Coord, CornerRule, GridMap
+from .grid import CellKind, Choice, CompiledGrid, Coord, CornerRule, GridMap, ensure_destination
 from .paths import Path
 
 
-class Heuristic(str, Enum):
+class Heuristic(Choice):
     """Distance estimate used by A* to order its queue."""
 
     CHEBYSHEV = "chebyshev"
     EUCLIDEAN = "euclidean"
-
-    @classmethod
-    def coerce(cls, value: "Heuristic | str") -> "Heuristic":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown heuristic {value!r}; expected 'chebyshev' or 'euclidean'"
-            ) from None
 
     def distance(self, a: Coord, b: Coord) -> float:
         d_row = a[0] - b[0]
@@ -136,12 +124,6 @@ def _visited(compiled: CompiledGrid, best: dict) -> frozenset:
     return frozenset(map(compiled.coord, best))
 
 
-def _need_destination(grid: GridMap) -> Coord:
-    if grid.destination is None:
-        raise ValueError("map has no destination to search for")
-    return grid.destination
-
-
 def dijkstra(grid: GridMap, rule: CornerRule = CornerRule.ALLOW) -> SearchResult:
     """Uniform-cost search; expansions count settled cells.
 
@@ -149,7 +131,7 @@ def dijkstra(grid: GridMap, rule: CornerRule = CornerRule.ALLOW) -> SearchResult
     Raises NoPathError (carrying the exhausted-run SearchResult) when the
     destination is unreachable, ValueError when the map has none.
     """
-    destination = _need_destination(grid)
+    destination = ensure_destination(grid)
     forbid = CornerRule.coerce(rule) is CornerRule.FORBID
     compiled = grid.compiled
     neighbours, target = compiled.neighbours, compiled.destination
@@ -193,7 +175,7 @@ def astar(
     the Chebyshev variant is exact even though entries can go stale;
     stale pops are skipped without counting as expansions.
     """
-    destination = _need_destination(grid)
+    destination = ensure_destination(grid)
     forbid = CornerRule.coerce(rule) is CornerRule.FORBID
     distance = Heuristic.coerce(heuristic).distance
     compiled = grid.compiled

@@ -17,12 +17,12 @@ import statistics
 import time
 from dataclasses import dataclass
 
+from .backtrack import backtrack
+from .baselines import SearchResult, astar, dijkstra
 from .errors import GridWaveError, NoPathError
-from .grid import CellKind, CornerRule, GridMap
-from .mapgen import GenSpec, generate_map
-from .solvers import AStarSolver, DijkstraSolver, WavefrontSolver
-from .validation import ensure_destination
-from .wavefront import full_flood_component
+from .grid import CellKind, CornerRule, GridMap, ensure_destination
+from .mapgen import generate_map
+from .wavefront import flood
 
 WAVEFRONT = "wavefront"
 DIJKSTRA = "dijkstra"
@@ -125,55 +125,43 @@ class ComplexityCounters:
     iterations_run: int
 
 
-def _unknown_algo(name: str) -> GridWaveError:
-    return ValueError(f"unknown algorithm {name!r}; expected one of {ALL_ALGOS}")
-
-
 def _run_wavefront(grid, rule, mode, max_paths) -> AlgoRecord:
-    solver = WavefrontSolver(corner_rule=rule, mode=mode, max_paths=max_paths)
     started = time.perf_counter_ns()
-    solver.fit(grid)
-    if solver.reached_destination_:
-        paths = solver.predict()
-        elapsed = time.perf_counter_ns() - started
-        return AlgoRecord(
-            algo=WAVEFRONT,
-            path_length=paths[0].length,
-            elapsed_us=elapsed // 1000,
-            iterations=solver.iterations_run_,
-            cells_costed=solver.cost_field_.finite_count(),
-            path_count=paths.count,
-        )
+    outcome = flood(grid, rule)
+    paths = None
+    if outcome.reached_destination:
+        paths = backtrack(outcome.field, grid, rule, mode, max_paths)
     elapsed = time.perf_counter_ns() - started
     return AlgoRecord(
         algo=WAVEFRONT,
-        path_length=None,
+        path_length=paths[0].length if paths is not None else None,
         elapsed_us=elapsed // 1000,
-        iterations=solver.iterations_run_,
-        cells_costed=solver.cost_field_.finite_count(),
-        path_count=0,
+        iterations=outcome.iterations_run,
+        cells_costed=outcome.field.finite_count(),
+        path_count=paths.count if paths is not None else 0,
     )
 
 
+def _search(grid, rule, algo: str) -> SearchResult:
+    """One search run; an exhausted run's counters come from its NoPathError."""
+    try:
+        if algo == DIJKSTRA:
+            return dijkstra(grid, rule)
+        return astar(grid, rule, algo.removeprefix("astar-"))
+    except NoPathError as exc:
+        return exc.result
+
+
 def _run_search(grid, rule, algo: str) -> AlgoRecord:
-    if algo == DIJKSTRA:
-        solver = DijkstraSolver(corner_rule=rule)
-    elif algo == ASTAR_CHEBYSHEV:
-        solver = AStarSolver(corner_rule=rule, heuristic="chebyshev")
-    elif algo == ASTAR_EUCLIDEAN:
-        solver = AStarSolver(corner_rule=rule, heuristic="euclidean")
-    else:
-        raise _unknown_algo(algo)
     started = time.perf_counter_ns()
-    solver.fit(grid)
+    result = _search(grid, rule, algo)
     elapsed = time.perf_counter_ns() - started
-    path = solver.path_
     return AlgoRecord(
         algo=algo,
-        path_length=path.length if path is not None else None,
+        path_length=result.path.length if result.path is not None else None,
         elapsed_us=elapsed // 1000,
-        expansions=solver.expansions_,
-        cells_touched=len(solver.result_.visited),
+        expansions=result.expansions,
+        cells_touched=len(result.visited),
     )
 
 
@@ -196,7 +184,7 @@ def compare(
     rule = CornerRule.coerce(rule)
     for algo in algos:
         if algo not in ALL_ALGOS:
-            raise _unknown_algo(algo)
+            raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALL_ALGOS}")
     records = []
     for algo in algos:
         if algo == WAVEFRONT:
@@ -245,24 +233,13 @@ def measure_complexity(grid: GridMap, rule: "CornerRule | str" = CornerRule.ALLO
     """Exhaustive-flood and uniform-cost counters for one map."""
     ensure_destination(grid)
     rule = CornerRule.coerce(rule)
-    outcome = full_flood_component(grid, rule)
+    outcome = flood(grid, rule, stop_at_destination=False)
     destination_cost = outcome.field.at(grid.destination)
-    try:
-        expansions = DijkstraSolver(corner_rule=rule).fit(grid).expansions_
-    except NoPathError as exc:  # pragma: no cover - fit() stores, never raises
-        expansions = exc.result.expansions
     return ComplexityCounters(
         nodes_total=grid.traversable_count(),
         obstacles_count=grid.count(CellKind.OBSTACLE),
         steps_to_destination=destination_cost if isinstance(destination_cost, int) else None,
-        expansions=expansions,
+        expansions=_search(grid, rule, DIJKSTRA).expansions,
         cells_costed=outcome.field.finite_count(),
         iterations_run=outcome.iterations_run,
-    )
-
-
-def genspec_range(width: int, height: int, density: float, seeds, require_solvable: bool = False):
-    """GenSpecs for a seed range -- convenience for suite construction."""
-    return tuple(
-        GenSpec(width, height, density, seed, require_solvable) for seed in seeds
     )

@@ -15,11 +15,11 @@ from pathlib import Path as FilePath
 
 from . import bench, serialize
 from .backtrack import backtrack
+from .baselines import astar, dijkstra
 from .errors import MapFormatError, NoPathError, UnsatisfiableError
 from .grid import GridMap, parse_map, render_map
 from .mapgen import GenSpec, generate_map
 from .render import STYLES, render_path_overlay, render_trace
-from .solvers import AStarSolver, DijkstraSolver, WavefrontSolver
 from .wavefront import flood
 
 _SEARCH_ALGOS = ("dijkstra", "astar")
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (MapFormatError, ValueError, TypeError, OSError) as exc:
+    except (MapFormatError, ValueError, OSError) as exc:
         print(f"gridwave: error: {exc}", file=sys.stderr)
         return 2
     except UnsatisfiableError as exc:
@@ -200,22 +200,22 @@ def _solve_wavefront(args, grid: GridMap) -> int:
     max_paths = args.max_paths if args.max_paths is not None else 64
     if max_paths < 1:
         return _usage_error("--max-paths must be at least 1")
-    solver = WavefrontSolver(corner_rule=args.corner_cut, mode=mode, max_paths=max_paths)
-    solver.fit(grid)
+    outcome = flood(grid, args.corner_cut)
     if args.trace is not None:
         FilePath(args.trace).write_text(
-            serialize.to_json(serialize.trace_to_dict(solver.trace_), pretty=True),
+            serialize.to_json(serialize.trace_to_dict(outcome.trace), pretty=True),
             encoding="utf-8",
         )
-    reached = solver.reached_destination_
-    paths = solver.predict() if reached else None
-    cells_costed = solver.cost_field_.finite_count()
+    reached = outcome.reached_destination
+    paths = backtrack(outcome.field, grid, args.corner_cut, mode, max_paths) if reached else None
+    iterations = outcome.iterations_run
+    cells_costed = outcome.field.finite_count()
 
     if args.json:
         payload = {
             "algo": "wavefront",
             "reached": reached,
-            "iterations": solver.iterations_run_,
+            "iterations": iterations,
             "cells_costed": cells_costed,
             "paths": serialize.pathset_to_dict(paths)
             if paths is not None
@@ -227,7 +227,7 @@ def _solve_wavefront(args, grid: GridMap) -> int:
     if not reached:
         _emit(
             f"no path from {tuple(grid.source)} to {tuple(grid.destination)}: "
-            f"flooded {cells_costed} cells in {solver.iterations_run_} iterations\n",
+            f"flooded {cells_costed} cells in {iterations} iterations\n",
             args.out,
         )
         return 1
@@ -237,7 +237,7 @@ def _solve_wavefront(args, grid: GridMap) -> int:
             f"path {i}: " + " ".join(f"({r},{c})" for r, c in path.cells)
             for i, path in enumerate(paths, start=1)
         ]
-    lines.append(f"iterations {solver.iterations_run_}, cells costed {cells_costed}")
+    lines.append(f"iterations {iterations}, cells costed {cells_costed}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -249,31 +249,32 @@ def _path_summary(paths) -> str:
 
 def _solve_search(args, grid: GridMap) -> int:
     heuristic = args.heuristic or "chebyshev"
-    if args.algo == "dijkstra":
-        solver = DijkstraSolver(corner_rule=args.corner_cut)
-        label_heuristic = None
-    else:
-        solver = AStarSolver(corner_rule=args.corner_cut, heuristic=heuristic)
-        label_heuristic = heuristic
-    solver.fit(grid)
-    found = solver.path_ is not None
+    label_heuristic = heuristic if args.algo == "astar" else None
+    try:
+        if args.algo == "dijkstra":
+            result = dijkstra(grid, args.corner_cut)
+        else:
+            result = astar(grid, args.corner_cut, heuristic)
+    except NoPathError as exc:
+        result = exc.result
+    path = result.path
 
     if args.json:
-        payload = serialize.search_result_to_dict(solver.result_, args.algo, label_heuristic)
+        payload = serialize.search_result_to_dict(result, args.algo, label_heuristic)
         _emit(serialize.to_json(payload) + "\n", args.out)
-        return 0 if found else 1
+        return 0 if path is not None else 1
 
-    if not found:
+    if path is None:
         _emit(
             f"no path from {tuple(grid.source)} to {tuple(grid.destination)}: "
-            f"exhausted after {solver.expansions_} expansions\n",
+            f"exhausted after {result.expansions} expansions\n",
             args.out,
         )
         return 1
     _emit(
-        f"path length {solver.path_.length}\n"
-        + render_path_overlay(grid, solver.path_)
-        + f"expansions {solver.expansions_}\n",
+        f"path length {path.length}\n"
+        + render_path_overlay(grid, path)
+        + f"expansions {result.expansions}\n",
         args.out,
     )
     return 0

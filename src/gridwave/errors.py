@@ -65,11 +65,3 @@ class UnsatisfiableError(GridWaveError):
 
 class DimensionMismatchError(GridWaveError):
     """Two grid-shaped values that should agree on width and height do not."""
-
-
-class NotFittedError(GridWaveError, ValueError, AttributeError):
-    """A solver method that needs a fitted solver was called before fit.
-
-    Inherits ValueError and AttributeError so generic except clauses
-    written for scikit-learn estimators catch it too.
-    """

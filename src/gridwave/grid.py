@@ -16,6 +16,7 @@ built once per map; Coord appears only where results leave them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple
@@ -59,7 +60,26 @@ class CellKind(Enum):
 _KIND_BY_SYMBOL = {kind.value: kind for kind in CellKind}
 
 
-class CornerRule(str, Enum):
+class Choice(str, Enum):
+    """Base of the two-way string options (CornerRule, Heuristic).
+
+    ``coerce`` accepts a member or its value; the error names the option
+    after its class ("CornerRule" -> "corner rule") and lists the values.
+    """
+
+    @classmethod
+    def coerce(cls, value: "Choice | str") -> "Choice":
+        if isinstance(value, cls):
+            return value
+        try:
+            return cls(value)
+        except ValueError:
+            option = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+            expected = " or ".join(repr(member.value) for member in cls)
+            raise ValueError(f"unknown {option} {value!r}; expected {expected}") from None
+
+
+class CornerRule(Choice):
     """Whether a diagonal step may squeeze between two blocked orthogonals.
 
     ALLOW permits every diagonal into a traversable cell.  FORBID drops a
@@ -69,17 +89,6 @@ class CornerRule(str, Enum):
 
     ALLOW = "allow"
     FORBID = "forbid"
-
-    @classmethod
-    def coerce(cls, value: "CornerRule | str") -> "CornerRule":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown corner rule {value!r}; expected 'allow' or 'forbid'"
-            ) from None
 
 
 #: The eight neighbor offsets in canonical clockwise-from-up order.
@@ -249,6 +258,13 @@ class CompiledGrid:
         """The row-major index (as in GridMap.cells) of padded index ``i``."""
         row, col = divmod(i, self.stride)
         return (row - 1) * self.width + col - 1
+
+
+def ensure_destination(grid: GridMap) -> Coord:
+    """Return the grid's destination or raise ValueError when it has none."""
+    if grid.destination is None:
+        raise ValueError("this operation needs a map with a destination cell")
+    return grid.destination
 
 
 def parse_map(text: str) -> GridMap:

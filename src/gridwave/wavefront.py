@@ -55,29 +55,6 @@ class FloodOutcome:
     iterations_run: int
 
 
-def ring_cells(center: Coord, k: int, grid: GridMap) -> list[Coord]:
-    """In-bounds cells of the square ring at Chebyshev radius k around center.
-
-    Order: top row left to right, right column top to bottom, bottom row
-    left to right, left column top to bottom.  k=0 yields just the
-    center; an unclipped ring has 8k cells for k >= 1.
-    """
-    center = Coord(*center)
-    if not grid.in_bounds(center):
-        raise ValueError(f"{center} is outside the {grid.width}x{grid.height} grid")
-    if k < 0:
-        raise ValueError("ring radius must be non-negative")
-    if k == 0:
-        return [center]
-    top, bottom = center.row - k, center.row + k
-    left, right = center.col - k, center.col + k
-    ring = [Coord(top, col) for col in range(left, right + 1)]
-    ring += [Coord(row, right) for row in range(top + 1, bottom)]
-    ring += [Coord(bottom, col) for col in range(left, right + 1)]
-    ring += [Coord(row, left) for row in range(top + 1, bottom)]
-    return [cell for cell in ring if grid.in_bounds(cell)]
-
-
 #: Per-flood cell states, translated from compiled codes: 0 is a wall or a
 #: costed cell; an unreached traversable cell stays _OPEN until costed.
 _OPEN, _OBSTACLE = 1, 2
@@ -160,8 +137,3 @@ def flood(
     reached = destination is not None and isinstance(values[destination], int)
     trace = FloodTrace(grid.width, grid.height, tuple(records))
     return FloodOutcome(field, trace, reached, iterations_run)
-
-
-def full_flood_component(grid: GridMap, rule: CornerRule = CornerRule.ALLOW) -> FloodOutcome:
-    """Flood to exhaustion: costs exactly the source's connected component."""
-    return flood(grid, rule, stop_at_destination=False)

@@ -11,14 +11,14 @@ from gridwave import (
     NoPathError,
     backtrack,
     descend_candidates,
-    full_flood_component,
+    flood,
     parse_map,
 )
 
 
 def flooded(name_or_grid, rule="allow"):
     grid = fixture_map(name_or_grid) if isinstance(name_or_grid, str) else name_or_grid
-    return full_flood_component(grid, rule).field, grid
+    return flood(grid, rule, stop_at_destination=False).field, grid
 
 
 class TestDescendCandidates:
@@ -101,7 +101,7 @@ class TestBacktrack:
 
     def test_destination_less_map_raises_value_error(self):
         grid = parse_map("###\n#S#\n###\n")
-        field = full_flood_component(grid).field
+        field = flood(grid, stop_at_destination=False).field
         with pytest.raises(ValueError):
             backtrack(field, grid)
 
@@ -136,7 +136,7 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("rule", BOTH_RULES)
     def test_enumeration_matches_blind_dfs_on_small_fixtures(self, name, rule):
         grid = fixture_map(name)
-        field = full_flood_component(grid, rule).field
+        field = flood(grid, rule, stop_at_destination=False).field
         expected = brute_force_descents(field, grid, rule)
         if not expected:
             with pytest.raises(NoPathError):
@@ -152,7 +152,7 @@ class TestAgainstBruteForce:
     def test_enumeration_matches_blind_dfs_on_generated_maps(self, text):
         grid = parse_map(text)
         for rule in BOTH_RULES:
-            field = full_flood_component(grid, rule).field
+            field = flood(grid, rule, stop_at_destination=False).field
             expected = brute_force_descents(field, grid, rule)
             if not expected:
                 with pytest.raises(NoPathError):

@@ -39,7 +39,7 @@ class TestHeuristic:
 
     def test_coerce(self):
         assert Heuristic.coerce("euclidean") is Heuristic.EUCLIDEAN
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown heuristic 'manhattan'; expected 'chebyshev' or 'euclidean'$"):
             Heuristic.coerce("manhattan")
 
 

@@ -237,9 +237,10 @@ class TestRobustness:
         assert paths["count"] == 1
         assert paths["paths"][0]["length"] == 1199
 
-    def test_unexpected_exception_exits_three_with_one_line(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("error", [RuntimeError, TypeError])
+    def test_unexpected_exception_exits_three_with_one_line(self, error, monkeypatch, capsys):
         def crash(args):
-            raise RuntimeError("boom\nsecond line")
+            raise error("boom\nsecond line")
 
         monkeypatch.setattr(cli, "_cmd_solve", crash)
         code, out, err = run_cli("solve", DETOUR, capsys=capsys)

@@ -36,6 +36,10 @@ COMMANDS = {
     "render-marks": ("render", "--style", "marks"),
     "render-full-costs": ("render", "--full", "--style", "costs", "--trace", TRACE),
     "compare-json": ("compare", "--json"),
+    "solve-dijkstra": ("solve", "--algo", "dijkstra"),
+    "solve-dijkstra-json": ("solve", "--algo", "dijkstra", "--json"),
+    "solve-astar": ("solve", "--algo", "astar"),
+    "solve-astar-euclidean-json": ("solve", "--algo", "astar", "--heuristic", "euclidean", "--json"),
 }
 
 

@@ -15,11 +15,18 @@ from gridwave import (
     NoSourceError,
     RaggedRowsError,
     UnknownSymbolError,
+    astar,
+    backtrack,
+    compare,
+    dijkstra,
+    flood,
+    measure_complexity,
     neighbors8,
     parse_map,
     render_map,
     step_allowed,
 )
+from gridwave.grid import ensure_destination
 
 
 class TestParse:
@@ -163,5 +170,22 @@ class TestCornerRule:
     def test_coerce_accepts_strings_and_rejects_junk(self):
         assert CornerRule.coerce("allow") is CornerRule.ALLOW
         assert CornerRule.coerce(CornerRule.FORBID) is CornerRule.FORBID
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown corner rule 'sometimes'; expected 'allow' or 'forbid'$"):
             CornerRule.coerce("sometimes")
+
+
+class TestEnsureDestination:
+    def test_every_caller_raises_the_same_error(self):
+        grid = parse_map("###\n#S#\n###\n")
+        field = flood(grid).field
+        calls = (
+            lambda: ensure_destination(grid),
+            lambda: backtrack(field, grid),
+            lambda: dijkstra(grid),
+            lambda: astar(grid),
+            lambda: compare(grid),
+            lambda: measure_complexity(grid),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^this operation needs a map with a destination cell$"):
+                call()

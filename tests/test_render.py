@@ -7,7 +7,6 @@ from gridwave import (
     DimensionMismatchError,
     backtrack,
     flood,
-    full_flood_component,
     parse_map,
     render_cost_field,
     render_map,
@@ -27,7 +26,7 @@ def marked_cells(frame):
 
 class TestMarksStyle:
     def test_frame_zero_is_the_input_map(self, any_fixture):
-        outcome = full_flood_component(any_fixture)
+        outcome = flood(any_fixture, stop_at_destination=False)
         frames = render_trace(any_fixture, outcome.trace, style="marks")
         assert frames[0].k == 0
         assert frames[0].text == render_map(any_fixture)
@@ -58,7 +57,7 @@ class TestMarksStyle:
 
     def test_source_and_destination_keep_their_letters(self):
         grid = fixture_map("room")
-        outcome = full_flood_component(grid)
+        outcome = flood(grid, stop_at_destination=False)
         final = render_trace(grid, outcome.trace, style="marks")[-1]
         assert final.rows[1][1] == "S"
         assert final.rows[3][3] == "D"
@@ -67,13 +66,13 @@ class TestMarksStyle:
 class TestCostsStyle:
     def test_final_frame_is_the_cost_matrix(self):
         grid = fixture_map("room")
-        outcome = full_flood_component(grid)
+        outcome = flood(grid, stop_at_destination=False)
         final = render_trace(grid, outcome.trace, style="costs")[-1]
         assert final.rows == ("#####", "#012#", "#112#", "#222#", "#####")
 
     def test_frame_zero_shows_source_as_zero(self):
         grid = fixture_map("room")
-        outcome = full_flood_component(grid)
+        outcome = flood(grid, stop_at_destination=False)
         first = render_trace(grid, outcome.trace, style="costs")[0]
         assert first.rows == ("#####", "#0..#", "#...#", "#..D#", "#####")
 
@@ -91,7 +90,7 @@ class TestCostsStyle:
 
     def test_empty_trace_is_single_frame_with_zero_source(self):
         grid = parse_map("###\n#S#\n###\n")
-        outcome = full_flood_component(grid)
+        outcome = flood(grid, stop_at_destination=False)
         assert outcome.trace.iterations == ()
         frames = render_trace(grid, outcome.trace, style="costs")
         assert len(frames) == 1
@@ -100,7 +99,7 @@ class TestCostsStyle:
     def test_wide_costs_align_in_fixed_columns(self):
         corridor = "##############\n#S...........#\n##############\n"
         grid = parse_map(corridor)
-        outcome = full_flood_component(grid)
+        outcome = flood(grid, stop_at_destination=False)
         frames = render_trace(grid, outcome.trace, style="costs")
         final = frames[-1]
         middle = final.rows[1].split()
@@ -128,7 +127,7 @@ class TestRenderPlumbing:
 
     def test_render_cost_field_matches_final_costs_frame(self):
         grid = fixture_map("room")
-        outcome = full_flood_component(grid)
+        outcome = flood(grid, stop_at_destination=False)
         final = render_trace(grid, outcome.trace, style="costs")[-1]
         assert render_cost_field(grid, outcome.field) == final.text
 

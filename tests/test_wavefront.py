@@ -13,42 +13,14 @@ from gridwave import (
     Coord,
     bfs8_distance_field,
     flood,
-    full_flood_component,
     parse_map,
-    ring_cells,
 )
-
-
-class TestRingCells:
-    def test_radius_zero_is_center(self):
-        grid = fixture_map("room")
-        assert ring_cells(Coord(2, 2), 0, grid) == [Coord(2, 2)]
-
-    def test_unclipped_ring_has_8k_cells_in_scan_order(self):
-        grid = fixture_map("pocket")
-        ring = ring_cells(Coord(5, 9), 1, grid)
-        assert len(ring) == 8
-        assert ring[0] == Coord(4, 8)  # top row first, left to right
-        assert all(max(abs(r - 5), abs(c - 9)) == 1 for r, c in ring)
-        assert len(ring_cells(Coord(5, 9), 2, grid)) == 16
-
-    def test_clips_to_grid(self):
-        grid = fixture_map("room")
-        ring = ring_cells(Coord(0, 0), 1, grid)
-        assert set(ring) == {Coord(0, 1), Coord(1, 1), Coord(1, 0)}
-
-    def test_rejects_bad_arguments(self):
-        grid = fixture_map("room")
-        with pytest.raises(ValueError):
-            ring_cells(Coord(9, 9), 1, grid)
-        with pytest.raises(ValueError):
-            ring_cells(Coord(1, 1), -1, grid)
 
 
 class TestFloodSemantics:
     def test_room_costs_are_chebyshev_rings(self):
         grid = fixture_map("room")
-        field = full_flood_component(grid).field
+        field = flood(grid, stop_at_destination=False).field
         for at in grid.traversable_cells():
             assert field.at(at) == max(abs(at.row - 1), abs(at.col - 1))
 
@@ -74,14 +46,14 @@ class TestFloodSemantics:
 
     def test_inspected_obstacles_cost_infinity(self):
         grid = fixture_map("detour")
-        field = full_flood_component(grid).field
+        field = flood(grid, stop_at_destination=False).field
         assert field.at(Coord(1, 3)) == INFINITY
         assert field.at(Coord(2, 3)) == INFINITY
         assert not field.is_finite(Coord(1, 3))
 
     def test_walls_are_never_costed(self):
         grid = fixture_map("room")
-        field = full_flood_component(grid).field
+        field = flood(grid, stop_at_destination=False).field
         for at in grid.coords():
             if grid.kind(at) is CellKind.BOUNDARY:
                 assert field.at(at) is UNREACHED
@@ -109,7 +81,7 @@ class TestFloodSemantics:
     def test_stop_at_destination_halts_early(self):
         grid = fixture_map("pocket")
         stopped = flood(grid, stop_at_destination=True)
-        full = full_flood_component(grid)
+        full = flood(grid, stop_at_destination=False)
         assert stopped.iterations_run <= full.iterations_run
         assert stopped.field.finite_count() <= full.field.finite_count()
         assert stopped.iterations_run == stopped.field.at(grid.destination)
@@ -131,7 +103,7 @@ class TestTraceInvariants:
     @pytest.mark.parametrize("rule", BOTH_RULES)
     def test_fixture_traces_are_well_formed(self, name, rule):
         grid = fixture_map(name)
-        outcome = full_flood_component(grid, rule)
+        outcome = flood(grid, rule, stop_at_destination=False)
         self._check(grid, outcome, rule)
 
     @settings(max_examples=50, deadline=None)
@@ -139,7 +111,7 @@ class TestTraceInvariants:
     def test_generated_traces_are_well_formed(self, text):
         grid = parse_map(text)
         for rule in BOTH_RULES:
-            self._check(grid, full_flood_component(grid, rule), rule)
+            self._check(grid, flood(grid, rule, stop_at_destination=False), rule)
 
     def _check(self, grid, outcome, rule):
         trace, field = outcome.trace, outcome.field
@@ -165,14 +137,14 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("rule", BOTH_RULES)
     def test_fixture_fields_match_bfs(self, name, rule):
         grid = fixture_map(name)
-        assert full_flood_component(grid, rule).field.values == bfs8_distance_field(
+        assert flood(grid, rule, stop_at_destination=False).field.values == bfs8_distance_field(
             grid, rule
         ).values
 
     def test_generated_fields_match_bfs(self, generated_pool):
         for grid in generated_pool:
             for rule in BOTH_RULES:
-                ours = full_flood_component(grid, rule).field
+                ours = flood(grid, rule, stop_at_destination=False).field
                 oracle = bfs8_distance_field(grid, rule)
                 assert ours.values == oracle.values
 
@@ -187,14 +159,14 @@ class TestAgainstOracle:
 class TestCostField:
     def test_indexing_and_bounds(self):
         grid = fixture_map("room")
-        field = full_flood_component(grid).field
+        field = flood(grid, stop_at_destination=False).field
         assert field[Coord(1, 1)] == 0
         with pytest.raises(IndexError):
             field.at(Coord(9, 9))
 
     def test_max_and_count_helpers(self):
         grid = fixture_map("room")
-        field = full_flood_component(grid).field
+        field = flood(grid, stop_at_destination=False).field
         assert field.max_finite() == 2
         assert field.finite_count() == 9
         assert field.matches(grid)
