@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .costs import CostField
 from .errors import DimensionMismatchError
-from .grid import CODE_PASSABLE, SYMBOL_OF_CODE, CellKind, Coord, GridMap
+from .grid import CODE_PASSABLE, SYMBOL_OF_CODE, GridMap
 from .paths import Path
 from .wavefront import FloodTrace
 
@@ -70,36 +70,33 @@ def render_trace(grid: GridMap, trace: FloodTrace, style: str = "marks") -> Fram
 
 
 def _marks_frames(grid: GridMap, trace: FloodTrace) -> FrameSequence:
-    reached: set[Coord] = set()
-    sources: set[Coord] = set()
-
-    def cell_char(at: Coord) -> str:
-        kind = grid.kind(at)
-        if kind in (CellKind.SOURCE, CellKind.DESTINATION, CellKind.BOUNDARY, CellKind.OBSTACLE):
-            return kind.symbol
-        if at in sources:
-            return "N"
-        if at in reached:
-            return "*"
-        return "."
-
-    frames = [Frame(0, _rows(grid, cell_char))]
+    codes = grid.compiled.codes
+    chars = bytearray(codes.translate(SYMBOL_OF_CODE))
+    frames = [Frame(0, tuple(_cut_rows(grid, chars.decode())))]
     for record in trace.iterations:
-        reached |= record.costed
-        sources |= record.new_sources
-        frames.append(Frame(record.k, _rows(grid, cell_char)))
+        for i in _inside(grid, record.costed):
+            if chars[i] == _DOT:  # a new source keeps its N when costed again
+                chars[i] = _STAR
+        for i in _inside(grid, record.new_sources):
+            if codes[i] == CODE_PASSABLE:
+                chars[i] = _NEW_SOURCE
+        frames.append(Frame(record.k, tuple(_cut_rows(grid, chars.decode()))))
     return FrameSequence(tuple(frames))
 
 
 def _costs_frames(grid: GridMap, trace: FloodTrace) -> FrameSequence:
     width = _digit_width(max((record.k for record in trace.iterations), default=0))
-    cost_of: dict[Coord, int] = {grid.source: 0}
-
-    frames = [Frame(0, _cost_rows(grid, cost_of, width))]
+    separator = " " if width > 1 else ""
+    codes = grid.compiled.codes
+    cells = _cost_cells(grid, width)
+    cells[grid.compiled.source] = "0".rjust(width)
+    frames = [Frame(0, tuple(map(separator.join, _cut_rows(grid, cells))))]
     for record in trace.iterations:
-        for at in record.costed:
-            cost_of[at] = record.k
-        frames.append(Frame(record.k, _cost_rows(grid, cost_of, width)))
+        cost = str(record.k).rjust(width)
+        for i in _inside(grid, record.costed):
+            if codes[i] >= CODE_PASSABLE:
+                cells[i] = cost
+        frames.append(Frame(record.k, tuple(map(separator.join, _cut_rows(grid, cells)))))
     return FrameSequence(tuple(frames))
 
 
@@ -110,53 +107,55 @@ def render_cost_field(grid: GridMap, field: CostField) -> str:
             f"field is {field.width}x{field.height} "
             f"but the map is {grid.width}x{grid.height}"
         )
-    cost_of = dict(field.finite_cells())
-    rows = _cost_rows(grid, cost_of, _digit_width(field.max_finite() or 0))
-    return "\n".join(rows) + "\n"
+    width = _digit_width(field.max_finite() or 0)
+    compiled = grid.compiled
+    cells = _cost_cells(grid, width)
+    for at, cost in field.finite_cells():
+        i = compiled.index(at)
+        if compiled.codes[i] >= CODE_PASSABLE:
+            cells[i] = str(cost).rjust(width)
+    separator = " " if width > 1 else ""
+    return "\n".join(map(separator.join, _cut_rows(grid, cells))) + "\n"
 
 
 def render_path_overlay(grid: GridMap, path: Path) -> str:
     """The map with the path's intermediate cells drawn as ``*``."""
-    compiled = grid.compiled
-    chars = bytearray(compiled.codes.translate(SYMBOL_OF_CODE))
-    for row, col in path.cells:
-        if 0 <= row < grid.height and 0 <= col < grid.width:
-            i = compiled.index((row, col))
-            if compiled.codes[i] == CODE_PASSABLE:
-                chars[i] = ord("*")
-    text = chars.decode()
-    stride = compiled.stride
-    return "".join(
-        text[start : start + grid.width] + "\n"
-        for start in range(stride + 1, stride * (grid.height + 1), stride)
-    )
+    codes = grid.compiled.codes
+    chars = bytearray(codes.translate(SYMBOL_OF_CODE))
+    for i in _inside(grid, path.cells):
+        if codes[i] == CODE_PASSABLE:
+            chars[i] = _STAR
+    return "\n".join(_cut_rows(grid, chars.decode())) + "\n"
 
 
-def _rows(grid: GridMap, cell_char) -> tuple[str, ...]:
-    return tuple(
-        "".join(cell_char(Coord(row, col)) for col in range(grid.width))
-        for row in range(grid.height)
-    )
+#: Marks-style glyphs as byte values of the padded character buffer.
+_DOT, _STAR, _NEW_SOURCE = b".*N"
+
+#: Costs-style glyph of each compiled code before the wave costs the cell.
+_UNCOSTED = ("#", "@", ".", ".", "D")
+
+
+def _inside(grid: GridMap, cells) -> list[int]:
+    """Padded indices of the ``(row, col)`` cells that lie in the grid."""
+    width, height, stride = grid.width, grid.height, grid.compiled.stride
+    return [
+        (row + 1) * stride + col + 1
+        for row, col in cells
+        if 0 <= row < height and 0 <= col < width
+    ]
+
+
+def _cut_rows(grid: GridMap, buffer) -> list:
+    """The map's rows of a padded buffer (a str or a list of cells), ring excluded."""
+    stride, width = grid.compiled.stride, grid.width
+    return [buffer[i : i + width] for i in range(stride + 1, stride * (grid.height + 1), stride)]
+
+
+def _cost_cells(grid: GridMap, width: int) -> list[str]:
+    """Padded per-cell costs-style strings of an uncosted map, each ``width`` wide."""
+    glyphs = [glyph.rjust(width) for glyph in _UNCOSTED]
+    return [glyphs[code] for code in grid.compiled.codes]
 
 
 def _digit_width(max_cost: int) -> int:
     return len(str(max_cost)) if max_cost > 0 else 1
-
-
-def _cost_rows(grid: GridMap, cost_of: dict, width: int) -> tuple[str, ...]:
-    def cell_char(at: Coord) -> str:
-        kind = grid.kind(at)
-        if kind is CellKind.BOUNDARY or kind is CellKind.OBSTACLE:
-            return kind.symbol
-        cost = cost_of.get(at)
-        if cost is not None:
-            return str(cost)
-        if kind is CellKind.DESTINATION:
-            return "D"
-        return "."
-
-    separator = " " if width > 1 else ""
-    return tuple(
-        separator.join(cell_char(Coord(row, col)).rjust(width) for col in range(grid.width))
-        for row in range(grid.height)
-    )

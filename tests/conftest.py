@@ -167,3 +167,33 @@ def map_texts(max_width: int = 12, max_height: int = 9):
         return "\n".join(rows) + "\n"
 
     return build()
+
+
+def any_map_text(fill: str = "....@@#"):
+    """Hypothesis strategy for unbordered maps of any shape, strips
+    included, with S and maybe D.
+
+    Cells are drawn uniformly from ``fill``, so its mix sets the density.
+    """
+    from hypothesis import strategies as st
+
+    @st.composite
+    def build(draw) -> str:
+        width, height = draw(
+            st.one_of(
+                st.tuples(st.just(1), st.integers(2, 16)),
+                st.tuples(st.integers(2, 16), st.just(1)),
+                st.tuples(st.integers(1, 12), st.integers(1, 9)),
+            )
+        )
+        cells = draw(
+            st.lists(st.sampled_from(fill), min_size=width * height, max_size=width * height)
+        )
+        places = draw(st.permutations(range(width * height)))
+        cells[places[0]] = "S"
+        if len(places) > 1 and draw(st.booleans()):
+            cells[places[1]] = "D"
+        rows = ["".join(cells[row * width : (row + 1) * width]) for row in range(height)]
+        return "\n".join(rows) + "\n"
+
+    return build()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOTH_RULES
+from conftest import BOTH_RULES, any_map_text
 from gridwave import (
     CellKind,
     Coord,
@@ -29,30 +29,6 @@ from gridwave.grid import SYMBOL_OF_CODE
 #: Clockwise from up, written out here rather than taken from the package.
 CLOCKWISE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 ORTHOGONAL = ((-1, 0), (0, 1), (1, 0), (0, -1))
-
-
-@st.composite
-def any_map_text(draw, fill: str = "....@@#") -> str:
-    """Unbordered maps of any shape, strips included, with S and maybe D.
-
-    Cells are drawn uniformly from ``fill``, so its mix sets the density.
-    """
-    width, height = draw(
-        st.one_of(
-            st.tuples(st.just(1), st.integers(2, 16)),
-            st.tuples(st.integers(2, 16), st.just(1)),
-            st.tuples(st.integers(1, 12), st.integers(1, 9)),
-        )
-    )
-    cells = draw(
-        st.lists(st.sampled_from(fill), min_size=width * height, max_size=width * height)
-    )
-    places = draw(st.permutations(range(width * height)))
-    cells[places[0]] = "S"
-    if len(places) > 1 and draw(st.booleans()):
-        cells[places[1]] = "D"
-    rows = ["".join(cells[row * width : (row + 1) * width]) for row in range(height)]
-    return "\n".join(rows) + "\n"
 
 
 def _blocking(grid, row: int, col: int) -> bool:

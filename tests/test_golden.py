@@ -35,6 +35,8 @@ COMMANDS = {
     "solve-all-paths-json": ("solve", "--all-paths", "--json"),
     "render-marks": ("render", "--style", "marks"),
     "render-full-costs": ("render", "--full", "--style", "costs", "--trace", TRACE),
+    "render-costs": ("render", "--style", "costs"),
+    "render-full-marks": ("render", "--full"),
     "compare-json": ("compare", "--json"),
     "solve-dijkstra": ("solve", "--algo", "dijkstra"),
     "solve-dijkstra-json": ("solve", "--algo", "dijkstra", "--json"),

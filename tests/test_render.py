@@ -1,10 +1,16 @@
 """ASCII rendering: frame styles, alignment, monotonicity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fixture_map, fixture_text
+from conftest import BOTH_RULES, any_map_text, fixture_map, fixture_text, map_texts
 from gridwave import (
+    CellKind,
+    Coord,
     DimensionMismatchError,
+    FloodTrace,
+    IterationRecord,
     backtrack,
     flood,
     parse_map,
@@ -13,6 +19,7 @@ from gridwave import (
     render_path_overlay,
     render_trace,
 )
+from gridwave.render import STYLES
 
 
 def marked_cells(frame):
@@ -140,3 +147,134 @@ class TestRenderPlumbing:
         assert lines[2][2] == "*" and lines[3][3] == "*" and lines[2][4] == "*"
         assert lines[1][1] == "S" and lines[1][5] == "D"
         assert overlay.count("*") == len(path.cells) - 2
+
+
+def reference_render(grid, trace, style) -> str:
+    """Frames as the renderer first drew them: every cell of every frame
+    looked up on its own, from the map kind and the cumulative trace."""
+    reached, sources, cost_of = set(), set(), {grid.source: 0}
+    width = max([1] + [len(str(record.k)) for record in trace.iterations if record.k > 0])
+    if style == "marks":
+        width = 1
+    separator = " " if width > 1 else ""
+
+    def cell_char(at):
+        kind = grid.kind(at)
+        if kind in (CellKind.BOUNDARY, CellKind.OBSTACLE):
+            return kind.symbol
+        if style == "marks":
+            if kind in (CellKind.SOURCE, CellKind.DESTINATION):
+                return kind.symbol
+            return "N" if at in sources else "*" if at in reached else "."
+        if at in cost_of:
+            return str(cost_of[at])
+        return "D" if kind is CellKind.DESTINATION else "."
+
+    def frame(k):
+        rows = (
+            separator.join(cell_char(Coord(row, col)).rjust(width) for col in range(grid.width))
+            for row in range(grid.height)
+        )
+        return f"k={k}\n" + "\n".join(rows) + "\n"
+
+    frames = [frame(0)]
+    for record in trace.iterations:
+        reached |= record.costed
+        sources |= record.new_sources
+        for at in record.costed:
+            cost_of[at] = record.k
+        frames.append(frame(record.k))
+    return "\n".join(frames)
+
+
+def serpentine(width: int = 24, lanes: int = 8) -> str:
+    """A corridor folded into ``lanes`` rows, S at one end and D at the other."""
+    rows = ["#" * (width + 2)]
+    for lane in range(lanes):
+        rows.append("#" + "." * width + "#")
+        if lane < lanes - 1:
+            wall = ["#"] + ["@"] * width + ["#"]
+            wall[width if lane % 2 == 0 else 1] = "."
+            rows.append("".join(wall))
+    rows.append("#" * (width + 2))
+    rows[1] = "#S" + rows[1][2:]
+    last = rows[-2]
+    rows[-2] = last[:1] + "D" + last[2:] if lanes % 2 == 0 else last[:-2] + "D#"
+    return "\n".join(rows) + "\n"
+
+
+def assert_matches_reference(grid, trace):
+    for style in STYLES:
+        assert render_trace(grid, trace, style).to_text() == reference_render(grid, trace, style)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=st.one_of(any_map_text(), map_texts(), map_texts().map(lambda t: t.replace("D", "."))),
+        rule=st.sampled_from(BOTH_RULES),
+        stop=st.booleans(),
+    )
+    def test_generated_maps(self, text, rule, stop):
+        grid = parse_map(text)
+        assert_matches_reference(grid, flood(grid, rule, stop_at_destination=stop).trace)
+
+    @pytest.mark.parametrize("rule", BOTH_RULES)
+    @pytest.mark.parametrize("stop", [True, False])
+    @pytest.mark.parametrize("keep_destination", [True, False])
+    def test_serpentine_with_three_digit_costs(self, rule, stop, keep_destination):
+        text = serpentine()
+        grid = parse_map(text if keep_destination else text.replace("D", "."))
+        trace = flood(grid, rule, stop_at_destination=stop).trace
+        assert len(trace.iterations) >= 100
+        assert_matches_reference(grid, trace)
+        final = render_trace(grid, trace, "costs")[-1]
+        assert f" {len(trace.iterations)}" in final.text
+
+
+class TestHandBuiltTraces:
+    """render_trace takes any FloodTrace of the map's size, not only flood's."""
+
+    GRID = "#####\n#S@.#\n#..D#\n#####\n"
+
+    def trace(self, *records) -> FloodTrace:
+        """Records k = 1, 2, ... from (costed, new_sources) lists of (row, col)."""
+        return FloodTrace(5, 4, tuple(
+            IterationRecord(k, frozenset(map(Coord._make, costed)), frozenset(map(Coord._make, new)))
+            for k, (costed, new) in enumerate(records, start=1)
+        ))
+
+    def test_costed_walls_and_obstacles_keep_their_glyph(self):
+        grid = parse_map(self.GRID)
+        blocked = [(0, 2), (1, 2), (3, 0)]
+        trace = self.trace((blocked + [(1, 3)], blocked))
+        assert_matches_reference(grid, trace)
+        assert render_trace(grid, trace, "marks")[-1].rows == ("#####", "#S@*#", "#..D#", "#####")
+        assert render_trace(grid, trace, "costs")[-1].rows == ("#####", "#0@1#", "#..D#", "#####")
+
+    def test_source_and_destination_keep_their_letters_in_marks(self):
+        grid = parse_map(self.GRID)
+        ends = [(1, 1), (2, 3)]
+        trace = self.trace((ends, ends))
+        assert_matches_reference(grid, trace)
+        assert render_trace(grid, trace, "marks")[-1].rows == ("#####", "#S@.#", "#..D#", "#####")
+        assert render_trace(grid, trace, "costs")[-1].rows == ("#####", "#1@.#", "#..1#", "#####")
+
+    def test_cells_outside_the_grid_are_ignored(self):
+        grid = parse_map(self.GRID)
+        # The wall ring, cells whose unchecked padded index would land on
+        # (2, 1), on D, or (negative, wrapped) on (1, 3), and far outside.
+        outside = [(-1, 0), (0, -1), (4, 1), (1, 8), (3, -4), (-4, -4), (99, 99)]
+        trace = self.trace((outside + [(2, 1)], outside))
+        assert_matches_reference(grid, trace)
+        for style in STYLES:
+            assert render_trace(grid, trace, style).to_text() == render_trace(
+                grid, self.trace(([(2, 1)], [])), style
+            ).to_text()
+
+    def test_repeated_cells_keep_the_last_cost_and_their_new_source_mark(self):
+        grid = parse_map(self.GRID)
+        trace = self.trace(([(2, 1), (2, 2)], [(2, 1)]), ([(2, 1), (2, 2)], [(2, 2)]), ([(1, 3)], []))
+        assert_matches_reference(grid, trace)
+        assert render_trace(grid, trace, "marks")[-1].rows[2] == "#NND#"
+        assert render_trace(grid, trace, "costs")[-1].rows[2] == "#22D#"
