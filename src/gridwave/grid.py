@@ -59,6 +59,9 @@ class CellKind(Enum):
 
 _KIND_BY_SYMBOL = {kind.value: kind for kind in CellKind}
 
+#: Matches a character outside the map alphabet.
+_FOREIGN_SYMBOL = re.compile(r"[^#@.SD]")
+
 
 class Choice(str, Enum):
     """Base of the two-way string options (CornerRule, Heuristic).
@@ -128,16 +131,19 @@ class GridMap:
                 f"cell count {len(self.cells)} does not match "
                 f"{self.width}x{self.height}"
             )
-        sources = [i for i, k in enumerate(self.cells) if k is CellKind.SOURCE]
-        destinations = [i for i, k in enumerate(self.cells) if k is CellKind.DESTINATION]
-        if len(sources) != 1:
-            raise ValueError(f"expected exactly one source cell, found {len(sources)}")
-        if len(destinations) > 1:
-            raise ValueError(f"expected at most one destination cell, found {len(destinations)}")
-        if self.index(self.source) != sources[0]:
+        sources = self.cells.count(CellKind.SOURCE)
+        destinations = self.cells.count(CellKind.DESTINATION)
+        if sources != 1:
+            raise ValueError(f"expected exactly one source cell, found {sources}")
+        if destinations > 1:
+            raise ValueError(f"expected at most one destination cell, found {destinations}")
+        if self.index(self.source) != self.cells.index(CellKind.SOURCE):
             raise ValueError(f"source coordinate {self.source} does not point at the S cell")
         if destinations:
-            if self.destination is None or self.index(self.destination) != destinations[0]:
+            if (
+                self.destination is None
+                or self.index(self.destination) != self.cells.index(CellKind.DESTINATION)
+            ):
                 raise ValueError("destination coordinate does not point at the D cell")
         elif self.destination is not None:
             raise ValueError("destination coordinate given but no D cell present")
@@ -259,6 +265,11 @@ class CompiledGrid:
         row, col = divmod(i, self.stride)
         return (row - 1) * self.width + col - 1
 
+    def rows(self, buffer) -> list:
+        """The map's rows of a padded buffer (a str or a list of cells), ring excluded."""
+        stride, width = self.stride, self.width
+        return [buffer[i : i + width] for i in range(stride + 1, len(self.codes) - stride, stride)]
+
 
 def ensure_destination(grid: GridMap) -> Coord:
     """Return the grid's destination or raise ValueError when it has none."""
@@ -272,7 +283,8 @@ def parse_map(text: str) -> GridMap:
 
     One trailing newline is tolerated; line order is row order.  Raises
     RaggedRowsError, UnknownSymbolError (with the offending row/col),
-    NoSourceError, MultipleSourcesError, or MultipleDestinationsError.
+    NoSourceError, MultipleSourcesError, or MultipleDestinationsError;
+    of several faults, the first in reading order is reported.
     """
     if not text:
         raise MapFormatError("map text is empty")
@@ -284,46 +296,62 @@ def parse_map(text: str) -> GridMap:
         raise MapFormatError("map text has no rows")
 
     width = len(lines[0])
-    height = len(lines)
-    cells: list[CellKind] = []
-    source: Coord | None = None
-    destination: Coord | None = None
+    sources = destinations = 0
     for row, line in enumerate(lines):
         if len(line) != width:
             raise RaggedRowsError(
                 f"row {row} has length {len(line)}, expected {width}", row=row
             )
-        for col, char in enumerate(line):
-            kind = _KIND_BY_SYMBOL.get(char)
-            if kind is None:
-                raise UnknownSymbolError(
-                    f"unknown symbol {char!r} at row {row}, col {col}", row=row, col=col
-                )
-            if kind is CellKind.SOURCE:
-                if source is not None:
-                    raise MultipleSourcesError(
-                        f"second source at row {row}, col {col}", row=row, col=col
-                    )
-                source = Coord(row, col)
-            elif kind is CellKind.DESTINATION:
-                if destination is not None:
-                    raise MultipleDestinationsError(
-                        f"second destination at row {row}, col {col}", row=row, col=col
-                    )
-                destination = Coord(row, col)
-            cells.append(kind)
-    if source is None:
+        row_sources, row_destinations = line.count("S"), line.count("D")
+        if (
+            sources + row_sources > 1
+            or destinations + row_destinations > 1
+            or _FOREIGN_SYMBOL.search(line)
+        ):
+            _raise_first_fault(line, row, sources, destinations)
+        sources += row_sources
+        destinations += row_destinations
+    if not sources:
         raise NoSourceError("map has no source cell")
-    return GridMap(width, height, tuple(cells), source, destination)
+    flat = "".join(lines)
+    return GridMap(
+        width,
+        len(lines),
+        tuple(map(_KIND_BY_SYMBOL.__getitem__, flat)),
+        Coord(*divmod(flat.index("S"), width)),
+        Coord(*divmod(flat.index("D"), width)) if destinations else None,
+    )
+
+
+def _raise_first_fault(line: str, row: int, sources: int, destinations: int) -> None:
+    """Raise the first fault of a row that parse_map found one in.
+
+    ``sources`` and ``destinations`` count the S and D cells of the rows
+    above; the row holds a foreign symbol, a second S or a second D.
+    """
+    for col, char in enumerate(line):
+        if char not in _KIND_BY_SYMBOL:
+            raise UnknownSymbolError(
+                f"unknown symbol {char!r} at row {row}, col {col}", row=row, col=col
+            )
+        if char == "S":
+            if sources:
+                raise MultipleSourcesError(
+                    f"second source at row {row}, col {col}", row=row, col=col
+                )
+            sources = 1
+        elif char == "D":
+            if destinations:
+                raise MultipleDestinationsError(
+                    f"second destination at row {row}, col {col}", row=row, col=col
+                )
+            destinations = 1
 
 
 def render_map(grid: GridMap) -> str:
     """Inverse of parse_map: canonical text with one trailing newline."""
-    rows = []
-    for row in range(grid.height):
-        start = row * grid.width
-        rows.append("".join(k.symbol for k in grid.cells[start : start + grid.width]))
-    return "\n".join(rows) + "\n"
+    compiled = grid.compiled
+    return "\n".join(compiled.rows(compiled.codes.translate(SYMBOL_OF_CODE).decode())) + "\n"
 
 
 def step_allowed(grid: GridMap, at: Coord, d_row: int, d_col: int, rule: CornerRule) -> bool:

@@ -70,9 +70,9 @@ def render_trace(grid: GridMap, trace: FloodTrace, style: str = "marks") -> Fram
 
 
 def _marks_frames(grid: GridMap, trace: FloodTrace) -> FrameSequence:
-    codes = grid.compiled.codes
+    codes, rows = grid.compiled.codes, grid.compiled.rows
     chars = bytearray(codes.translate(SYMBOL_OF_CODE))
-    frames = [Frame(0, tuple(_cut_rows(grid, chars.decode())))]
+    frames = [Frame(0, tuple(rows(chars.decode())))]
     for record in trace.iterations:
         for i in _inside(grid, record.costed):
             if chars[i] == _DOT:  # a new source keeps its N when costed again
@@ -80,23 +80,23 @@ def _marks_frames(grid: GridMap, trace: FloodTrace) -> FrameSequence:
         for i in _inside(grid, record.new_sources):
             if codes[i] == CODE_PASSABLE:
                 chars[i] = _NEW_SOURCE
-        frames.append(Frame(record.k, tuple(_cut_rows(grid, chars.decode()))))
+        frames.append(Frame(record.k, tuple(rows(chars.decode()))))
     return FrameSequence(tuple(frames))
 
 
 def _costs_frames(grid: GridMap, trace: FloodTrace) -> FrameSequence:
     width = _digit_width(max((record.k for record in trace.iterations), default=0))
     separator = " " if width > 1 else ""
-    codes = grid.compiled.codes
+    codes, rows = grid.compiled.codes, grid.compiled.rows
     cells = _cost_cells(grid, width)
     cells[grid.compiled.source] = "0".rjust(width)
-    frames = [Frame(0, tuple(map(separator.join, _cut_rows(grid, cells))))]
+    frames = [Frame(0, tuple(map(separator.join, rows(cells))))]
     for record in trace.iterations:
         cost = str(record.k).rjust(width)
         for i in _inside(grid, record.costed):
             if codes[i] >= CODE_PASSABLE:
                 cells[i] = cost
-        frames.append(Frame(record.k, tuple(map(separator.join, _cut_rows(grid, cells)))))
+        frames.append(Frame(record.k, tuple(map(separator.join, rows(cells)))))
     return FrameSequence(tuple(frames))
 
 
@@ -115,7 +115,7 @@ def render_cost_field(grid: GridMap, field: CostField) -> str:
         if compiled.codes[i] >= CODE_PASSABLE:
             cells[i] = str(cost).rjust(width)
     separator = " " if width > 1 else ""
-    return "\n".join(map(separator.join, _cut_rows(grid, cells))) + "\n"
+    return "\n".join(map(separator.join, compiled.rows(cells))) + "\n"
 
 
 def render_path_overlay(grid: GridMap, path: Path) -> str:
@@ -125,7 +125,7 @@ def render_path_overlay(grid: GridMap, path: Path) -> str:
     for i in _inside(grid, path.cells):
         if codes[i] == CODE_PASSABLE:
             chars[i] = _STAR
-    return "\n".join(_cut_rows(grid, chars.decode())) + "\n"
+    return "\n".join(grid.compiled.rows(chars.decode())) + "\n"
 
 
 #: Marks-style glyphs as byte values of the padded character buffer.
@@ -143,12 +143,6 @@ def _inside(grid: GridMap, cells) -> list[int]:
         for row, col in cells
         if 0 <= row < height and 0 <= col < width
     ]
-
-
-def _cut_rows(grid: GridMap, buffer) -> list:
-    """The map's rows of a padded buffer (a str or a list of cells), ring excluded."""
-    stride, width = grid.compiled.stride, grid.width
-    return [buffer[i : i + width] for i in range(stride + 1, stride * (grid.height + 1), stride)]
 
 
 def _cost_cells(grid: GridMap, width: int) -> list[str]:

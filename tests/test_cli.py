@@ -120,6 +120,23 @@ class TestSolve:
         code, _, err = run_cli("solve", str(bad), capsys=capsys)
         assert code == 2 and "unknown symbol" in err
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("###\n#S##\n###\n", "gridwave: error: row 1 has length 4, expected 3\n"),
+            ("###\n#X#\n###\n", "gridwave: error: unknown symbol 'X' at row 1, col 1\n"),
+            ("###\n#.#\n###\n", "gridwave: error: map has no source cell\n"),
+            ("####\n#SS#\n####\n", "gridwave: error: second source at row 1, col 2\n"),
+            ("#####\n#SDD#\n#####\n", "gridwave: error: second destination at row 1, col 3\n"),
+            ("", "gridwave: error: map text is empty\n"),
+        ],
+        ids=["ragged", "unknown-symbol", "no-source", "second-source", "second-destination", "empty"],
+    )
+    def test_malformed_map_error_line_is_pinned(self, text, line, tmp_path, capsys):
+        bad = tmp_path / "bad.map"
+        bad.write_bytes(text.encode())
+        assert run_cli("solve", str(bad), capsys=capsys) == (2, "", line)
+
     def test_destination_less_map_exits_two(self, tmp_path, capsys):
         plain = tmp_path / "plain.map"
         plain.write_text("###\n#S#\n###\n")

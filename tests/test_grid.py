@@ -1,7 +1,8 @@
 """Grid model: parsing, rendering, adjacency, and the corner rule."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import BOTH_RULES, FIXTURE_NAMES, fixture_map, fixture_text, map_texts
 from gridwave import (
@@ -79,15 +80,129 @@ class TestParse:
         assert render_map(parse_map(text)) == text
 
 
+_KINDS = {kind.value: kind for kind in CellKind}
+
+
+def reference_parse(text: str) -> GridMap:
+    """The per-character parser parse_map replaced, kept as its reference."""
+    if not text:
+        raise MapFormatError("map text is empty")
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if not lines or lines[0] == "":
+        raise MapFormatError("map text has no rows")
+
+    width = len(lines[0])
+    height = len(lines)
+    cells = []
+    source = None
+    destination = None
+    for row, line in enumerate(lines):
+        if len(line) != width:
+            raise RaggedRowsError(
+                f"row {row} has length {len(line)}, expected {width}", row=row
+            )
+        for col, char in enumerate(line):
+            kind = _KINDS.get(char)
+            if kind is None:
+                raise UnknownSymbolError(
+                    f"unknown symbol {char!r} at row {row}, col {col}", row=row, col=col
+                )
+            if kind is CellKind.SOURCE:
+                if source is not None:
+                    raise MultipleSourcesError(
+                        f"second source at row {row}, col {col}", row=row, col=col
+                    )
+                source = Coord(row, col)
+            elif kind is CellKind.DESTINATION:
+                if destination is not None:
+                    raise MultipleDestinationsError(
+                        f"second destination at row {row}, col {col}", row=row, col=col
+                    )
+                destination = Coord(row, col)
+            cells.append(kind)
+    if source is None:
+        raise NoSourceError("map has no source cell")
+    return GridMap(width, height, tuple(cells), source, destination)
+
+
+def parse_outcome(parse, text: str):
+    """The GridMap ``parse`` returns, or the type, str, row and col it raises."""
+    try:
+        return parse(text)
+    except MapFormatError as exc:
+        return type(exc), str(exc), exc.row, exc.col
+
+
+_FOREIGN = ("X", "\t", "\u00e9", "\ufeff", "\r")
+
+
+@st.composite
+def messy_map_texts(draw) -> str:
+    """Map-like texts: a grid of ``#@.`` with 0-3 S and 0-3 D dropped in,
+    maybe foreign characters, a ragged or empty row, LF or CRLF endings."""
+    width = draw(st.integers(1, 7))
+    height = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.sampled_from("#@.."), min_size=width * height, max_size=width * height))
+    specials = "S" * draw(st.integers(0, 3)) + "D" * draw(st.integers(0, 3))
+    specials += "".join(draw(st.lists(st.sampled_from(_FOREIGN), max_size=2)))
+    for char in specials:
+        cells[draw(st.integers(0, len(cells) - 1))] = char
+    rows = ["".join(cells[row * width : (row + 1) * width]) for row in range(height)]
+    if draw(st.booleans()):
+        row = draw(st.integers(0, height - 1))
+        rows[row] = draw(st.sampled_from(("", rows[row][:-1], rows[row] + ".", rows[row] + "S")))
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    return ending.join(rows) + draw(st.sampled_from(("", ending)))
+
+
+class TestParseAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.one_of(messy_map_texts(), st.text("#@.SDX\t\u00e9\ufeff\r\n", max_size=30)))
+    @example(text="\n")
+    @example(text="\r\n")
+    @example(text="S\n\n")
+    def test_same_map_or_same_error(self, text):
+        assert parse_outcome(parse_map, text) == parse_outcome(reference_parse, text)
+
+    @pytest.mark.parametrize(
+        "text,error,row,col",
+        [
+            ("S..\n.XS\n", UnknownSymbolError, 1, 1),  # unknown symbol left of a second S
+            ("S.X\nS..\n", UnknownSymbolError, 0, 2),  # second S on a row below it
+            ("S.X\n....\n", UnknownSymbolError, 0, 2),  # ragged row after a bad symbol
+            ("SDSD\n", MultipleSourcesError, 0, 2),  # second S before a second D
+            ("SDDS\n", MultipleDestinationsError, 0, 2),  # second D before a second S
+            ("DS.\n.DS\n", MultipleDestinationsError, 1, 1),
+            ("S..\nXD.D\n", RaggedRowsError, 1, None),
+        ],
+    )
+    def test_reports_the_first_fault_in_reading_order(self, text, error, row, col):
+        with pytest.raises(error) as info:
+            parse_map(text)
+        assert (info.value.row, info.value.col) == (row, col)
+        assert parse_outcome(parse_map, text) == parse_outcome(reference_parse, text)
+
+
 class TestGridMap:
     def test_rejects_inconsistent_construction(self):
-        cells = (CellKind.SOURCE, CellKind.PASSABLE)
-        with pytest.raises(ValueError):
-            GridMap(2, 1, cells, Coord(0, 1))  # source coord points at '.'
-        with pytest.raises(ValueError):
-            GridMap(3, 1, cells, Coord(0, 0))  # cell count mismatch
-        with pytest.raises(ValueError):
-            GridMap(2, 1, (CellKind.PASSABLE, CellKind.PASSABLE), Coord(0, 0))
+        # (width, one-row cells, source, destination, the whole message)
+        cases = [
+            (2, "S.", Coord(0, 1), None, r"source coordinate Coord\(row=0, col=1\) does not point at the S cell"),
+            (3, "S.", Coord(0, 0), None, r"cell count 2 does not match 3x1"),
+            (2, "..", Coord(0, 0), None, r"expected exactly one source cell, found 0"),
+            (3, "SS.", Coord(0, 0), None, r"expected exactly one source cell, found 2"),
+            (3, "SDD", Coord(0, 0), Coord(0, 1), r"expected at most one destination cell, found 2"),
+            (2, "SD", Coord(0, 0), None, r"destination coordinate does not point at the D cell"),
+            (2, "S.", Coord(0, 0), Coord(0, 1), r"destination coordinate given but no D cell present"),
+            (3, "SD.", Coord(0, 0), Coord(0, 2), r"destination coordinate does not point at the D cell"),
+        ]
+        for width, cells, source, destination, message in cases:
+            kinds = tuple(CellKind(char) for char in cells)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                GridMap(width, 1, kinds, source, destination)
 
     def test_counts(self):
         grid = fixture_map("sealed")
