@@ -15,10 +15,8 @@ from .bench import (
     ALL_ALGOS,
     AlgoRecord,
     ComparisonReport,
-    ComplexityCounters,
     SuiteReport,
     compare,
-    measure_complexity,
     run_suite,
 )
 from .costs import INFINITY, UNREACHED, CostField
@@ -44,11 +42,10 @@ from .grid import (
     neighbors8,
     parse_map,
     render_map,
-    step_allowed,
 )
 from .mapgen import GenSpec, SplitMix64, generate_map
 from .paths import Path, PathSet
-from .render import Frame, FrameSequence, render_cost_field, render_path_overlay, render_trace
+from .render import Frame, FrameSequence, render_path_overlay, render_trace
 from .wavefront import FloodOutcome, FloodTrace, IterationRecord, flood
 
 __version__ = "0.1.0"
@@ -58,7 +55,6 @@ __all__ = [
     "AlgoRecord",
     "CellKind",
     "ComparisonReport",
-    "ComplexityCounters",
     "Coord",
     "CornerRule",
     "CostField",
@@ -97,14 +93,11 @@ __all__ = [
     "dijkstra",
     "flood",
     "generate_map",
-    "measure_complexity",
     "neighbors8",
     "parse_map",
-    "render_cost_field",
     "render_map",
     "render_path_overlay",
     "render_trace",
     "run_suite",
-    "step_allowed",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .backtrack import backtrack
 from .baselines import SearchResult, astar, dijkstra
 from .errors import GridWaveError, NoPathError
-from .grid import CellKind, CornerRule, GridMap, ensure_destination
+from .grid import CornerRule, GridMap, ensure_destination
 from .mapgen import generate_map
 from .wavefront import flood
 
@@ -105,24 +105,6 @@ class SuiteReport:
             }
             for algo, fields in by_algo.items()
         }
-
-
-@dataclass(frozen=True)
-class ComplexityCounters:
-    """Measured analogs of the quantities an asymptotic comparison uses.
-
-    nodes_total is the traversable cell count, obstacles_count the
-    obstacle cell count, steps_to_destination the optimal depth (None if
-    unreachable), expansions the uniform-cost settled count, and
-    cells_costed the exhaustive wavefront's finite count.
-    """
-
-    nodes_total: int
-    obstacles_count: int
-    steps_to_destination: int | None
-    expansions: int
-    cells_costed: int
-    iterations_run: int
 
 
 def _run_wavefront(grid, rule, mode, max_paths) -> AlgoRecord:
@@ -228,18 +210,3 @@ def run_suite(
         )
     return SuiteReport(tuple(reports))
 
-
-def measure_complexity(grid: GridMap, rule: "CornerRule | str" = CornerRule.ALLOW) -> ComplexityCounters:
-    """Exhaustive-flood and uniform-cost counters for one map."""
-    ensure_destination(grid)
-    rule = CornerRule.coerce(rule)
-    outcome = flood(grid, rule, stop_at_destination=False)
-    destination_cost = outcome.field.at(grid.destination)
-    return ComplexityCounters(
-        nodes_total=grid.traversable_count(),
-        obstacles_count=grid.count(CellKind.OBSTACLE),
-        steps_to_destination=destination_cost if isinstance(destination_cost, int) else None,
-        expansions=_search(grid, rule, DIJKSTRA).expansions,
-        cells_costed=outcome.field.finite_count(),
-        iterations_run=outcome.iterations_run,
-    )

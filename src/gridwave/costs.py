@@ -55,16 +55,5 @@ class CostField:
     def finite_count(self) -> int:
         return sum(1 for v in self.values if isinstance(v, int))
 
-    def max_finite(self) -> int | None:
-        finite = [v for v in self.values if isinstance(v, int)]
-        return max(finite) if finite else None
-
-    def rows(self) -> list[list]:
-        """Costs as a list of row lists (UNREACHED stays None)."""
-        return [
-            list(self.values[r * self.width : (r + 1) * self.width])
-            for r in range(self.height)
-        ]
-
     def matches(self, grid: GridMap) -> bool:
         return self.width == grid.width and self.height == grid.height

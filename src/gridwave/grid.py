@@ -176,9 +176,6 @@ class GridMap:
     def count(self, kind: CellKind) -> int:
         return sum(1 for k in self.cells if k is kind)
 
-    def traversable_count(self) -> int:
-        return sum(1 for k in self.cells if k.traversable)
-
     @property
     def compiled(self) -> "CompiledGrid":
         """The flat padded form every kernel runs on, built on first use.
@@ -352,19 +349,6 @@ def render_map(grid: GridMap) -> str:
     """Inverse of parse_map: canonical text with one trailing newline."""
     compiled = grid.compiled
     return "\n".join(compiled.rows(compiled.codes.translate(SYMBOL_OF_CODE).decode())) + "\n"
-
-
-def step_allowed(grid: GridMap, at: Coord, d_row: int, d_col: int, rule: CornerRule) -> bool:
-    """Whether the unit step from ``at`` in direction (d_row, d_col) is admissible.
-
-    The target must be an in-bounds traversable cell; under
-    CornerRule.FORBID a diagonal is additionally rejected when both
-    flanking orthogonal cells are blocking.  ``at`` must be in bounds and
-    (d_row, d_col) one of OFFSETS_CLOCKWISE.
-    """
-    if (d_row, d_col) not in OFFSETS_CLOCKWISE:
-        raise ValueError(f"({d_row}, {d_col}) is not a unit step")
-    return (at[0] + d_row, at[1] + d_col) in neighbors8(grid, at, rule)
 
 
 def neighbors8(grid: GridMap, at: Coord, rule: CornerRule = CornerRule.ALLOW) -> list[Coord]:

@@ -1,4 +1,4 @@
-"""ASCII rendering of expansion traces, cost fields, and path overlays.
+"""ASCII rendering of expansion traces and path overlays.
 
 Two frame styles:
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costs import CostField
 from .errors import DimensionMismatchError
 from .grid import CODE_PASSABLE, SYMBOL_OF_CODE, GridMap
 from .paths import Path
@@ -98,24 +97,6 @@ def _costs_frames(grid: GridMap, trace: FloodTrace) -> FrameSequence:
                 cells[i] = cost
         frames.append(Frame(record.k, tuple(map(separator.join, rows(cells)))))
     return FrameSequence(tuple(frames))
-
-
-def render_cost_field(grid: GridMap, field: CostField) -> str:
-    """One costs-style snapshot of a finished field (not a frame sequence)."""
-    if not field.matches(grid):
-        raise DimensionMismatchError(
-            f"field is {field.width}x{field.height} "
-            f"but the map is {grid.width}x{grid.height}"
-        )
-    width = _digit_width(field.max_finite() or 0)
-    compiled = grid.compiled
-    cells = _cost_cells(grid, width)
-    for at, cost in field.finite_cells():
-        i = compiled.index(at)
-        if compiled.codes[i] >= CODE_PASSABLE:
-            cells[i] = str(cost).rjust(width)
-    separator = " " if width > 1 else ""
-    return "\n".join(map(separator.join, compiled.rows(cells))) + "\n"
 
 
 def render_path_overlay(grid: GridMap, path: Path) -> str:

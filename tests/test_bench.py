@@ -5,10 +5,12 @@ import pytest
 from conftest import fixture_map
 from gridwave import (
     ALL_ALGOS,
+    CellKind,
     GenSpec,
     UnsatisfiableError,
     compare,
-    measure_complexity,
+    dijkstra,
+    flood,
     run_suite,
 )
 from gridwave.serialize import suite_to_csv, suite_to_dict, to_json
@@ -115,22 +117,26 @@ class TestRunSuite:
 
 
 class TestMeasureComplexity:
+    """The complexity counters, read from a full flood and from Dijkstra."""
+
     def test_counters_on_detour(self):
-        counters = measure_complexity(fixture_map("detour"))
-        assert counters.nodes_total == 13
-        assert counters.obstacles_count == 2
-        assert counters.steps_to_destination == 4
-        assert counters.cells_costed == 13
-        assert counters.expansions > 0
+        grid = fixture_map("detour")
+        outcome = flood(grid, stop_at_destination=False)
+        assert sum(kind.traversable for kind in grid.cells) == 13
+        assert grid.count(CellKind.OBSTACLE) == 2
+        assert outcome.field.at(grid.destination) == 4
+        assert outcome.field.finite_count() == 13
+        assert dijkstra(grid).expansions > 0
 
     def test_invariants(self, generated_pool):
         for grid in generated_pool:
-            counters = measure_complexity(grid)
-            assert counters.cells_costed <= counters.nodes_total
-            if counters.steps_to_destination is not None:
-                assert counters.steps_to_destination <= counters.iterations_run
+            outcome = flood(grid, stop_at_destination=False)
+            assert outcome.field.finite_count() <= sum(kind.traversable for kind in grid.cells)
+            if outcome.field.is_finite(grid.destination):
+                assert outcome.field.at(grid.destination) <= outcome.iterations_run
 
     def test_unreachable_destination(self):
-        counters = measure_complexity(fixture_map("sealed"))
-        assert counters.steps_to_destination is None
-        assert counters.cells_costed == 3
+        grid = fixture_map("sealed")
+        outcome = flood(grid, stop_at_destination=False)
+        assert not outcome.field.is_finite(grid.destination)
+        assert outcome.field.finite_count() == 3

@@ -125,6 +125,43 @@ def test_trace_is_derivable_from_the_field(text, stop):
         assert outcome.iterations_run == len(records)
 
 
+def serpentine(corridors: int, width: int) -> str:
+    """A one-cell corridor winding between ``@`` walls, D midway along the last run."""
+    rows = []
+    for run in range(corridors):
+        rows.append("." * width)
+        if run < corridors - 1:
+            gap = width - 1 if run % 2 == 0 else 0
+            rows.append("".join("." if col == gap else "@" for col in range(width)))
+    rows[0] = "S" + rows[0][1:]
+    rows[-1] = rows[-1][: width // 2] + "D" + rows[-1][width // 2 + 1 :]
+    ring = "#" * (width + 2)
+    return "\n".join([ring, *(f"#{row}#" for row in rows), ring]) + "\n"
+
+
+@pytest.mark.parametrize("stop", [True, False])
+@pytest.mark.parametrize("rule", BOTH_RULES)
+def test_trace_of_a_thousand_level_corridor_is_derived_from_the_field(rule, stop):
+    grid = parse_map(serpentine(corridors=30, width=40))
+    outcome = flood(grid, rule, stop_at_destination=stop)
+    assert outcome.iterations_run >= 1000
+    assert outcome.trace.iterations == derived_trace(grid, outcome.field)
+    assert outcome.iterations_run == len(outcome.trace.iterations)
+    assert any(record.new_sources for record in outcome.trace.iterations)
+
+
+def test_a_plain_flood_builds_no_trace():
+    text = serpentine(corridors=3, width=6)
+    outcome = flood(parse_map(text))
+    assert "trace" not in vars(outcome)
+    assert outcome.trace is outcome.trace
+    assert "trace" in vars(outcome)
+    # The flooded grid, like GridMap.compiled, takes no part in equality or repr.
+    again = flood(parse_map(text))
+    assert again == outcome and again.grid is not outcome.grid
+    assert "grid" not in repr(outcome)
+
+
 @given(any_map_text(fill="........@#"))
 @settings(max_examples=100, deadline=None)
 def test_all_paths_keep_the_canonical_order(text):

@@ -1,11 +1,11 @@
 """Byte identity of CLI output on every fixture map under both corner rules.
 
 ``fixtures/golden/`` holds, per (fixture, rule, command), the exact stdout
-and exit code of ``gridwave`` and, for the traced render, the ``--trace``
-JSON.  ``compare --json`` is stored with ``elapsed_us`` removed, since wall
-time is the one field that varies between runs.  ``fixtures/golden/gen/``
-holds the stdout of ``gridwave gen`` for each of GEN_SPECS.  Any kernel
-change must leave all of these bytes alone.
+and exit code of ``gridwave`` and, for the traced solve and render, the
+``--trace`` JSON.  ``compare --json`` is stored with ``elapsed_us``
+removed, since wall time is the one field that varies between runs.
+``fixtures/golden/gen/`` holds the stdout of ``gridwave gen`` for each of
+GEN_SPECS.  Any kernel change must leave all of these bytes alone.
 
 Regenerate (only after an intended output change) from the repo root::
 
@@ -34,6 +34,7 @@ COMMANDS = {
     "solve": ("solve",),
     "solve-json": ("solve", "--json"),
     "solve-all-paths-json": ("solve", "--all-paths", "--json"),
+    "solve-trace": ("solve", "--trace", TRACE),
     "render-marks": ("render", "--style", "marks"),
     "render-full-costs": ("render", "--full", "--style", "costs", "--trace", TRACE),
     "render-costs": ("render", "--style", "costs"),

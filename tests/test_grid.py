@@ -21,11 +21,9 @@ from gridwave import (
     compare,
     dijkstra,
     flood,
-    measure_complexity,
     neighbors8,
     parse_map,
     render_map,
-    step_allowed,
 )
 from gridwave.grid import ensure_destination
 
@@ -207,7 +205,7 @@ class TestGridMap:
     def test_counts(self):
         grid = fixture_map("sealed")
         assert grid.count(CellKind.OBSTACLE) == 3
-        assert grid.traversable_count() == 6
+        assert sum(kind.traversable for kind in grid.cells) == 6
         assert len(list(grid.coords())) == grid.width * grid.height
 
     def test_kind_raises_out_of_bounds(self):
@@ -261,26 +259,20 @@ class TestCornerRule:
 
     def test_forbid_blocks_double_flanked_diagonal(self):
         grid = parse_map(self.SQUEEZE)
-        assert step_allowed(grid, Coord(1, 1), 1, 1, CornerRule.ALLOW)
-        assert not step_allowed(grid, Coord(1, 1), 1, 1, CornerRule.FORBID)
+        assert Coord(2, 2) in neighbors8(grid, Coord(1, 1), CornerRule.ALLOW)
+        assert Coord(2, 2) not in neighbors8(grid, Coord(1, 1), CornerRule.FORBID)
 
     def test_forbid_keeps_single_flanked_diagonal(self):
         #  one flank open: (1,2) is '.', so the diagonal survives FORBID
         grid = parse_map("#####\n#S..#\n#@.D#\n#####\n")
-        assert step_allowed(grid, Coord(1, 1), 1, 1, CornerRule.FORBID)
+        assert Coord(2, 2) in neighbors8(grid, Coord(1, 1), CornerRule.FORBID)
 
     def test_boundary_counts_as_blocking_flank(self):
         # Flanks of (1,1)->(2,2) are the '#' at (1,2) and the '@' at (2,1):
         # a wall segment squeezes exactly like an obstacle does.
         grid = parse_map("#####\n#S#.#\n#@.D#\n#####\n")
-        assert step_allowed(grid, Coord(1, 1), 1, 1, CornerRule.ALLOW)
-        assert not step_allowed(grid, Coord(1, 1), 1, 1, CornerRule.FORBID)
-
-    def test_rejects_steps_that_are_not_unit_moves(self):
-        grid = parse_map(self.SQUEEZE)
-        for d_row, d_col in ((0, 0), (2, 0), (1, -2)):
-            with pytest.raises(ValueError):
-                step_allowed(grid, Coord(1, 1), d_row, d_col, CornerRule.ALLOW)
+        assert Coord(2, 2) in neighbors8(grid, Coord(1, 1), CornerRule.ALLOW)
+        assert Coord(2, 2) not in neighbors8(grid, Coord(1, 1), CornerRule.FORBID)
 
     def test_coerce_accepts_strings_and_rejects_junk(self):
         assert CornerRule.coerce("allow") is CornerRule.ALLOW
@@ -299,7 +291,6 @@ class TestEnsureDestination:
             lambda: dijkstra(grid),
             lambda: astar(grid),
             lambda: compare(grid),
-            lambda: measure_complexity(grid),
         )
         for call in calls:
             with pytest.raises(ValueError, match="^this operation needs a map with a destination cell$"):

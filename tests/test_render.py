@@ -14,7 +14,6 @@ from gridwave import (
     backtrack,
     flood,
     parse_map,
-    render_cost_field,
     render_map,
     render_path_overlay,
     render_trace,
@@ -131,12 +130,6 @@ class TestRenderPlumbing:
         text = render_trace(grid, flood(grid).trace, style="marks").to_text()
         assert text.startswith("k=0\n#####\n")
         assert "\nk=1\n" in text and "\nk=2\n" in text
-
-    def test_render_cost_field_matches_final_costs_frame(self):
-        grid = fixture_map("room")
-        outcome = flood(grid, stop_at_destination=False)
-        final = render_trace(grid, outcome.trace, style="costs")[-1]
-        assert render_cost_field(grid, outcome.field) == final.text
 
     def test_path_overlay_marks_interior_cells_only(self):
         grid = fixture_map("detour")

@@ -167,11 +167,10 @@ class TestCostField:
     def test_max_and_count_helpers(self):
         grid = fixture_map("room")
         field = flood(grid, stop_at_destination=False).field
-        assert field.max_finite() == 2
+        assert max(cost for _, cost in field.finite_cells()) == 2
         assert field.finite_count() == 9
         assert field.matches(grid)
-        rows = field.rows()
-        assert rows[1][1] == 0 and rows[0][0] is UNREACHED
+        assert field.at(Coord(1, 1)) == 0 and field.at(Coord(0, 0)) is UNREACHED
 
     def test_infinity_never_finite(self):
         assert not isinstance(INFINITY, int)
