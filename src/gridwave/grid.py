@@ -17,7 +17,7 @@ built once per map; Coord appears only where results leave them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -121,9 +121,14 @@ class GridMap:
     cells: tuple[CellKind, ...]
     source: Coord
     destination: Coord | None = None
+    _: KW_ONLY
+    #: The cells' symbols, row-major, when the caller has them (parse_map).
+    _text: InitVar[str | None] = None
+    #: The cells' symbols, row-major, as one string.
+    _symbols: str = field(default="", init=False, repr=False, compare=False)
     _compiled: "CompiledGrid | None" = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _text):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("grid dimensions must be positive")
         if len(self.cells) != self.width * self.height:
@@ -131,19 +136,19 @@ class GridMap:
                 f"cell count {len(self.cells)} does not match "
                 f"{self.width}x{self.height}"
             )
-        sources = self.cells.count(CellKind.SOURCE)
-        destinations = self.cells.count(CellKind.DESTINATION)
+        # _value_ is the plain attribute behind the slower CellKind.value property.
+        symbols = "".join([kind._value_ for kind in self.cells]) if _text is None else _text
+        object.__setattr__(self, "_symbols", symbols)
+        sources = symbols.count("S")
+        destinations = symbols.count("D")
         if sources != 1:
             raise ValueError(f"expected exactly one source cell, found {sources}")
         if destinations > 1:
             raise ValueError(f"expected at most one destination cell, found {destinations}")
-        if self.index(self.source) != self.cells.index(CellKind.SOURCE):
+        if self.index(self.source) != symbols.index("S"):
             raise ValueError(f"source coordinate {self.source} does not point at the S cell")
         if destinations:
-            if (
-                self.destination is None
-                or self.index(self.destination) != self.cells.index(CellKind.DESTINATION)
-            ):
+            if self.destination is None or self.index(self.destination) != symbols.index("D"):
                 raise ValueError("destination coordinate does not point at the D cell")
         elif self.destination is not None:
             raise ValueError("destination coordinate given but no D cell present")
@@ -218,8 +223,7 @@ class CompiledGrid:
     def __init__(self, grid: GridMap):
         width, height = grid.width, grid.height
         stride = width + 2
-        # _value_ is the plain attribute behind the slower CellKind.value property.
-        flat = "".join([kind._value_ for kind in grid.cells]).encode().translate(_CODE_OF_SYMBOL)
+        flat = grid._symbols.encode().translate(_CODE_OF_SYMBOL)
         codes = bytearray(stride * (height + 2))
         for row in range(height):
             start = (row + 1) * stride + 1
@@ -317,6 +321,7 @@ def parse_map(text: str) -> GridMap:
         tuple(map(_KIND_BY_SYMBOL.__getitem__, flat)),
         Coord(*divmod(flat.index("S"), width)),
         Coord(*divmod(flat.index("D"), width)) if destinations else None,
+        _text=flat,
     )
 
 

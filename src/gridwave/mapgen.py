@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .baselines import bfs8_distance_field
 from .errors import UnsatisfiableError
 from .grid import CellKind, Coord, CornerRule, GridMap
+from .wavefront import flood
 
 _MASK64 = (1 << 64) - 1
 
@@ -93,10 +93,8 @@ def generate_map(
         grid = _one_attempt(spec, rng)
         if grid is None:
             continue
-        if spec.require_solvable:
-            field = bfs8_distance_field(grid, rule)
-            if not field.is_finite(grid.destination):
-                continue
+        if spec.require_solvable and not flood(grid, rule).reached_destination:
+            continue
         return grid
     raise UnsatisfiableError(
         f"no acceptable {spec.width}x{spec.height} map at density {spec.density} "

@@ -19,17 +19,34 @@ on first read of ``FloodOutcome.trace``; a plain solve never builds it.
 The expansion stops once the destination is costed (when asked to) or
 when an iteration costs no new cell, which on a destination-less or
 blocked map means the source's whole connected component is costed.
+
+The flood runs on bitboards: Python ints with bit i for padded cell i of
+the compiled grid, whose open and obstacle masks are built in C from its
+codes.  One level is one dilation of the whole frontier, kept to the
+unreached open cells.  Under ALLOW that is the frontier's 3x3 dilation;
+under FORBID a diagonal is admissible exactly when one of its two flanks
+is open, so the frontier's open orthogonal neighbours are dilated across
+the other axis.  The level ints cover only a window of whole bytes around
+the frontier, re-cut when the frontier comes within one row of its edge,
+so a map-wide wave runs on whole-map ints and a corridor on a few rows.
+Each cost is stored in bit planes (plane p holds the cells whose cost
+has bit p set) and the field is rebuilt once, at the end, in C: the
+planes become lanes of 1, 2 or 4 bytes per cell, and one table lookup
+per cell gives its cost, INFINITY or UNREACHED.  The touched obstacles
+are those 8-adjacent to a scanned cell, which is every costed cell but
+the destination's level when the flood stopped there.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import cached_property
-from itertools import chain
 
 from .costs import INFINITY, UNREACHED, CostField
-from .grid import CODE_PASSABLE, Coord, CornerRule, GridMap
+from .grid import CODE_OBSTACLE, CODE_PASSABLE, Coord, CornerRule, GridMap
 
 
 @dataclass(frozen=True)
@@ -73,12 +90,22 @@ class FloodOutcome:
         return _trace_of(self.grid, self.field)
 
 
-#: Per-flood cell states, translated from compiled codes: 0 is a wall or a
-#: cell already costed; an unreached traversable cell stays _OPEN and an
-#: obstacle stays _OBSTACLE until the wave first reaches it.
-_OPEN, _OBSTACLE = 1, 2
-#: Translation table indexed by code, CODE_WALL through CODE_DESTINATION.
-_FLOOD_STATE = bytes([0, _OBSTACLE, _OPEN, _OPEN, _OPEN]).ljust(256, b"\0")
+#: Translation tables from compiled codes to the binary digits of a mask.
+_OPEN_DIGITS = bytes(b"01"[code >= CODE_PASSABLE] for code in range(256))
+_OBSTACLE_DIGITS = bytes(b"01"[code == CODE_OBSTACLE] for code in range(256))
+#: _LANE_BIT[b] maps the digits of a plane to the bytes 0 and 1 << b.
+_LANE_BIT = [bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8)]
+#: Array typecodes of the 1-, 2- and 4-byte cost lanes.
+_LANE_TYPECODE = {1: "B", 2: "H", 4: next(c for c in "IL" if array(c).itemsize == 4)}
+#: A re-cut window reaches this many rows (or the frontier's height, if
+#: that is more) past the frontier on each side the frontier was about to
+#: leave it by, and two rows past it on the other side.
+_MARGIN_ROWS = 8
+
+
+def _mask(codes: bytes, digits: bytes) -> int:
+    """The cells whose code ``digits`` maps to b"1", as an int with bit i for cell i."""
+    return int(codes.translate(digits)[::-1], 2)
 
 
 def flood(
@@ -96,49 +123,146 @@ def flood(
     """
     forbid = CornerRule.coerce(rule) is CornerRule.FORBID
     compiled = grid.compiled
-    codes, steps = compiled.codes, compiled.steps
-    state = bytearray(codes.translate(_FLOOD_STATE))
-    # Costs by padded index; the wall ring is cut away when the field is built.
-    values: list = [UNREACHED] * len(codes)
+    codes, stride = compiled.codes, compiled.stride
     source, destination = compiled.source, compiled.destination
-    state[source] = 0
-    values[source] = 0
-    stop = stop_at_destination and destination is not None
+    size = (len(codes) + 7) // 8  # bytes of a map bitset
+    reach = stride + 1  # the farthest a bit moves in one level
+    unbounded = len(codes)  # room past a window edge that is the map's edge
 
-    frontier = [source]
-    iterations_run = 0
-    while frontier:
-        k = iterations_run + 1
-        costed: list[int] = []
-        cost_it = costed.append
-        for i in frontier:
-            for delta, flank_a, flank_b in steps:
-                j = i + delta
-                kind = state[j]
-                if kind == _OPEN:
-                    # CompiledGrid.neighbours' corner test, inlined per probe.
-                    if (
-                        forbid
-                        and flank_a
-                        and codes[i + flank_a] < CODE_PASSABLE
-                        and codes[i + flank_b] < CODE_PASSABLE
-                    ):
-                        continue
-                    state[j] = 0
-                    values[j] = k
-                    cost_it(j)
-                elif kind == _OBSTACLE:
-                    state[j] = 0
-                    values[j] = INFINITY
-        if costed:
-            iterations_run = k
-        if stop and values[destination] == k:
+    open_cells = _mask(codes, _OPEN_DIGITS)
+    open_bytes = open_cells.to_bytes(size, "little")
+    unreached = bytearray(open_bytes)
+    unreached[source >> 3] ^= 1 << (source & 7)
+    # Plane p holds the cells whose cost has bit p set.  Its levels come in
+    # runs (2^p to 2^(p+1) - 1, then 3 * 2^p to 2^(p+2) - 1, ...): runs[p] is
+    # ``todo`` as it was when p's current run began, or None between runs,
+    # and the run's cells are runs[p] ^ todo.  They are ORed into the
+    # window's plane when the run ends, and into the map's plane when the
+    # window is re-cut or the flood ends.  Plane 0's first run is level 1.
+    planes = [bytearray(size)]
+    runs: list = [0]
+    window_planes = [0]
+
+    # The window is bytes [lo, hi) of the map bitsets, held as ints whose
+    # bit 0 is cell ``base``.  It starts empty, so the first level cuts it.
+    lo = hi = base = bits = 0
+    todo = window_open = target = 0  # target: the destination bit to stop at, if in the window
+    frontier = 1 << source
+    safe = 0  # levels the frontier can still expand without leaving the window
+    k = last = 0
+    while True:
+        while not safe:
+            first = (frontier & -frontier).bit_length() - 1
+            top = frontier.bit_length() - 1
+            low = first if lo else unbounded
+            high = bits - 1 - top if hi < size else unbounded
+            if min(low, high) >= reach:
+                safe = min(low, high) // reach
+                continue
+            _store(unreached, planes, runs, window_planes, todo, lo, hi)
+            ahead = max(_MARGIN_ROWS * stride, top - first)
+            old = base
+            lo = max(0, base + first - (ahead if low < reach else 2 * reach) >> 3)
+            hi = min(size, (base + top + (ahead if high < reach else 2 * reach) >> 3) + 1)
+            base, bits = lo << 3, (hi - lo) << 3
+            frontier = frontier << old - base if old > base else frontier >> base - old
+            todo = int.from_bytes(unreached[lo:hi], "little")
+            runs = [None if run is None else todo for run in runs]
+            window_planes = [0] * len(planes)
+            if forbid:
+                window_open = int.from_bytes(open_bytes[lo:hi], "little")
+            target = 0
+            if stop_at_destination and destination is not None and base <= destination < base + bits:
+                target = 1 << destination - base
+        if forbid:
+            # A diagonal is admissible when one of its two flanks is open.
+            flank_h = (frontier << 1 | frontier >> 1) & window_open
+            flank_v = (frontier << stride | frontier >> stride) & window_open
+            wave = (
+                flank_h | flank_h << stride | flank_h >> stride
+                | flank_v | flank_v << 1 | flank_v >> 1
+            ) & todo
+        else:
+            row = frontier | frontier << 1 | frontier >> 1
+            wave = (row | row << stride | row >> stride) & todo
+        if not wave:
             break
-        frontier = costed
+        k += 1
+        todo ^= wave
+        ended = (k + 1 & -(k + 1)).bit_length() - 1  # the runs of planes below this end at k
+        for p in range(ended):
+            window_planes[p] |= runs[p] ^ todo
+            runs[p] = None
+        if ended == len(runs):
+            planes.append(bytearray(size))
+            window_planes.append(0)
+            runs.append(todo)
+        else:
+            runs[ended] = todo
+        if wave & target:
+            last = wave << base
+            break
+        frontier = wave
+        safe -= 1
 
-    field = CostField(grid.width, grid.height, tuple(chain.from_iterable(compiled.rows(values))))
-    reached = destination is not None and isinstance(values[destination], int)
-    return FloodOutcome(field, reached, iterations_run, grid)
+    _store(unreached, planes, runs, window_planes, todo, lo, hi)
+    still = int.from_bytes(unreached, "little")
+    costed = open_cells ^ still
+    # Every costed level was scanned but the destination's, when it stopped the flood.
+    scanned = costed ^ last
+    row = scanned | scanned << 1 | scanned >> 1
+    touched = (row | row << stride | row >> stride) & _mask(codes, _OBSTACLE_DIGITS)
+    field = CostField(grid.width, grid.height, _rebuild(compiled, planes, k, costed, touched))
+    reached = destination is not None and not still >> destination & 1
+    return FloodOutcome(field, reached, k, grid)
+
+
+def _store(unreached, planes, runs, window_planes, todo, lo, hi) -> None:
+    """Write the window back into the map bitsets, with its open runs' cells so far."""
+    unreached[lo:hi] = todo.to_bytes(hi - lo, "little")
+    for plane, run, cells in zip(planes, runs, window_planes):
+        if run is not None:
+            cells |= run ^ todo
+        if cells:
+            plane[lo:hi] = (int.from_bytes(plane[lo:hi], "little") | cells).to_bytes(hi - lo, "little")
+
+
+def _rebuild(compiled, planes: list[bytearray], top: int, costed: int, touched: int) -> tuple:
+    """The row-major field values from the bit planes of the costs up to ``top``.
+
+    Cell i's lane is its cost, ``top + 1`` if it is in ``touched`` and
+    ``top + 2`` otherwise; the lanes are 1, 2 or 4 bytes wide, whichever
+    holds ``top + 2``, and one table lookup per cell turns them into costs,
+    INFINITY and UNREACHED.
+    """
+    cells = len(compiled.codes)
+    untouched = ((1 << cells) - 1) ^ costed ^ touched
+    depth = (top + 2).bit_length()
+    lane = 1 if depth <= 8 else 2 if depth <= 16 else 4
+    bitsets = [int.from_bytes(plane, "little") for plane in planes]
+    bitsets += [0] * (depth - len(bitsets))
+    for p in range(depth):
+        if top + 1 >> p & 1:
+            bitsets[p] |= touched
+        if top + 2 >> p & 1:
+            bitsets[p] |= untouched
+    lanes = bytearray(cells * lane)
+    digits = f"0{cells}b"
+    for byte in range(lane):
+        acc = 0
+        for p in range(8 * byte, min(8 * byte + 8, depth)):
+            acc |= int.from_bytes(format(bitsets[p], digits).encode().translate(_LANE_BIT[p & 7]), "big")
+        lanes[byte::lane] = acc.to_bytes(cells, "little")
+    stride, row_width = compiled.stride, compiled.width
+    inside = b"".join(
+        lanes[i * lane : (i + row_width) * lane]
+        for i in range(stride + 1, cells - stride, stride)
+    )
+    costs = array(_LANE_TYPECODE[lane], inside)
+    if sys.byteorder == "big":
+        costs.byteswap()
+    table = [*range(top + 1), INFINITY, UNREACHED]
+    return tuple(map(table.__getitem__, costs))
 
 
 def _trace_of(grid: GridMap, field: CostField) -> FloodTrace:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import BOTH_RULES, any_map_text
 from gridwave import (
+    INFINITY,
+    UNREACHED,
     CellKind,
     Coord,
     CornerRule,
@@ -105,6 +107,50 @@ def test_full_flood_field_equals_the_oracle(text):
         assert outcome.field == bfs8_distance_field(grid, rule)
 
 
+def truncated_oracle(grid, full) -> tuple:
+    """The field of a flood that stops at D, from the oracle's ``full`` field.
+
+    With D at cost L, costs up to L stay, INFINITY stays only on obstacles
+    8-adjacent to a cell of cost below L (the levels that were scanned),
+    and every other cell is UNREACHED.  With D unreached or absent it is
+    the full field.
+    """
+    if grid.destination is None or not full.is_finite(grid.destination):
+        return full.values
+    last = full.at(grid.destination)
+
+    def scanned_nearby(at):
+        for d_row, d_col in CLOCKWISE:
+            row, col = at.row + d_row, at.col + d_col
+            if 0 <= row < grid.height and 0 <= col < grid.width:
+                cost = full.values[row * grid.width + col]
+                if type(cost) is int and cost < last:
+                    return True
+        return False
+
+    values = []
+    for at, cost in zip(grid.coords(), full.values):
+        if type(cost) is int and cost <= last:
+            values.append(cost)
+        elif grid.cells[grid.index(at)] is CellKind.OBSTACLE and scanned_nearby(at):
+            values.append(INFINITY)
+        else:
+            values.append(UNREACHED)
+    return tuple(values)
+
+
+@given(any_map_text())
+@settings(max_examples=150, deadline=None)
+def test_stopped_flood_field_equals_the_truncated_oracle(text):
+    grid = parse_map(text)
+    for rule in BOTH_RULES:
+        outcome = flood(grid, rule, stop_at_destination=True)
+        assert outcome.field.values == truncated_oracle(grid, bfs8_distance_field(grid, rule))
+        assert outcome.reached_destination == (
+            grid.destination is not None and outcome.field.is_finite(grid.destination)
+        )
+
+
 @given(any_map_text())
 @settings(max_examples=150, deadline=None)
 def test_neighbours_match_the_docstring_rules(text):
@@ -148,6 +194,32 @@ def test_trace_of_a_thousand_level_corridor_is_derived_from_the_field(rule, stop
     assert outcome.trace.iterations == derived_trace(grid, outcome.field)
     assert outcome.iterations_run == len(outcome.trace.iterations)
     assert any(record.new_sources for record in outcome.trace.iterations)
+
+
+@pytest.mark.parametrize(
+    "corridors,width,levels",
+    [
+        # Full floods of 253 to 256 levels and of 65,533 and 71,820 levels:
+        # each side of a cost lane growing from 1 to 2 and from 2 to 4 bytes.
+        (11, 24, 253),
+        (2, 128, 254),
+        (15, 18, 255),
+        (8, 33, 256),
+        (71, 924, 65_533),
+        (180, 400, 71_820),
+    ],
+)
+def test_floods_on_each_side_of_a_lane_switch_equal_the_oracle(corridors, width, levels):
+    grid = parse_map(serpentine(corridors, width))
+    for rule in BOTH_RULES:
+        oracle = bfs8_distance_field(grid, rule)
+        full = flood(grid, rule, stop_at_destination=False)
+        assert full.iterations_run == levels
+        assert full.field == oracle
+        stopped = flood(grid, rule)
+        assert stopped.reached_destination
+        assert stopped.iterations_run == stopped.field.at(grid.destination) < levels
+        assert stopped.field.values == truncated_oracle(grid, oracle)
 
 
 def test_a_plain_flood_builds_no_trace():
